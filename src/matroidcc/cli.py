@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from . import analyze, construct, transform
-from .core import Matroid
+from .core import MAX_GROUND, MAX_SCAN, Matroid
 from .errors import (
     CapExceeded,
     MatroidError,
@@ -49,10 +49,15 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
-def parse_matroid(path: str | Path) -> Matroid:
+def _is_label_list(x: Any) -> bool:
+    return isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+
+
+def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroid:
     """Read a matroid file (circuits, matrix or graph format) and build the
     validated matroid.  Degenerate inputs (empty ground set, rank 0) are
-    rejected here."""
+    rejected here, and a circuits file with more than ``max_elements``
+    elements is refused with ``CapExceeded`` before any circuit is built."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -74,11 +79,16 @@ def parse_matroid(path: str | Path) -> Matroid:
     if fmt == "circuits":
         ground = _require(doc, "ground", str(path))
         circuits = _require(doc, "circuits", str(path))
-        if not isinstance(ground, list) or not all(isinstance(x, str) for x in ground):
+        if not _is_label_list(ground):
             raise ParseError(f"{path}: ground must be a list of strings")
         if not ground:
             raise ParseError(f"{path}: empty ground set")
-        if not isinstance(circuits, list):
+        if len(ground) > max_elements:
+            raise CapExceeded(
+                f"{path}: ground set has {len(ground)} elements; "
+                f"this command takes at most {max_elements}"
+            )
+        if not isinstance(circuits, list) or not all(map(_is_label_list, circuits)):
             raise ParseError(f"{path}: circuits must be a list of label lists")
         m = construct.from_circuits(ground, circuits, name=name)
     elif fmt == "matrix":
@@ -97,15 +107,15 @@ def parse_matroid(path: str | Path) -> Matroid:
     elif fmt == "graph":
         vertices = _require(doc, "vertices", str(path))
         edges = _require(doc, "edges", str(path))
-        if not isinstance(vertices, int) or not isinstance(edges, list):
+        if not construct._is_int(vertices) or not isinstance(edges, list):
             raise ParseError(f"{path}: graph needs an int vertex count and edge list")
         parsed = []
         for e in edges:
             if (
                 not isinstance(e, list)
                 or len(e) != 3
-                or not isinstance(e[0], int)
-                or not isinstance(e[1], int)
+                or not construct._is_int(e[0])
+                or not construct._is_int(e[1])
                 or not isinstance(e[2], str)
             ):
                 raise ParseError(f"{path}: edges must be [u, v, label] triples")
@@ -323,25 +333,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     paths = sorted(str(p) for p in args.paths)
     threads = args.threads if args.threads and args.threads > 0 else (os.cpu_count() or 1)
 
-    def job(path: str):
+    def job(path: str) -> tuple[analyze.ConjectureReport, float] | MatroidError:
         start = time.perf_counter()
-        m = parse_matroid(path)
-        report = analyze.verify_conjecture(m, cap=args.cap)
+        try:
+            # Hyperplane enumeration refuses more than MAX_SCAN elements, so
+            # a larger circuits file is refused before it is validated.
+            m = parse_matroid(path, max_elements=MAX_SCAN)
+            report = analyze.verify_conjecture(m, cap=args.cap)
+        except MatroidError as err:
+            return err
         return report, (time.perf_counter() - start) * 1000.0
 
-    results: dict[str, tuple[analyze.ConjectureReport, float] | MatroidError] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {path: pool.submit(job, path) for path in paths}
-        for path in paths:
-            try:
-                results[path] = futures[path].result()
-            except MatroidError as err:
-                results[path] = err
+    # A single worker gains nothing from a pool but a hand-off per file.
+    if threads == 1:
+        outcomes = [job(path) for path in paths]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(job, paths))
 
     entries = []
     first_error: tuple[str, MatroidError] | None = None
-    for path in paths:
-        outcome = results[path]
+    for path, outcome in zip(paths, outcomes):
         if isinstance(outcome, MatroidError):
             if first_error is None:
                 first_error = (path, outcome)

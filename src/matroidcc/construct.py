@@ -11,10 +11,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid
+from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid, dependence_test
 from .errors import CapExceeded, InvalidParameter, UnknownName
 
 FIELD_SIZES = (2, 3, 5, 7)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_field(p: object) -> None:
+    if not _is_int(p) or p not in FIELD_SIZES:
+        raise InvalidParameter(f"field size must be one of {FIELD_SIZES}, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -26,10 +35,7 @@ class MatrixOverGF:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.p not in FIELD_SIZES:
-            raise InvalidParameter(
-                f"field size must be one of {FIELD_SIZES}, got {self.p}"
-            )
+        _check_field(self.p)
         if self.rows < 0:
             raise InvalidParameter("row count must be non-negative")
         for col in self.columns:
@@ -41,13 +47,15 @@ class MatrixOverGF:
     @classmethod
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "MatrixOverGF":
         """Build from a row-major listing, reducing entries mod p."""
-        if p not in FIELD_SIZES:
-            raise InvalidParameter(f"field size must be one of {FIELD_SIZES}, got {p}")
+        _check_field(p)
         height = len(rows)
         width = len(rows[0]) if height else 0
         for row in rows:
             if len(row) != width:
                 raise InvalidParameter("ragged rows in matrix")
+            for x in row:
+                if not _is_int(x):
+                    raise InvalidParameter(f"matrix entries must be integers, got {x!r}")
         cols = tuple(
             tuple(rows[i][j] % p for i in range(height)) for j in range(width)
         )
@@ -144,11 +152,14 @@ def from_matrix(
     full_rank = gf_rank(cols, p)
     found: list[int] = []
     for size in range(1, min(n, full_rank + 1) + 1):
+        # Circuits of one size cannot nest, so the test of the circuits
+        # found so far holds for the whole level.
+        contains_found = dependence_test(n, found)
         for combo in itertools.combinations(range(n), size):
             m = 0
             for i in combo:
                 m |= 1 << i
-            if any(f & ~m == 0 for f in found):
+            if contains_found(m):
                 continue
             if gf_rank([cols[i] for i in combo], p) < size:
                 found.append(m)
@@ -197,11 +208,13 @@ def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
     ground = GroundSet(lab for _, _, lab in graph.edges)
     found: list[int] = []
     for size in range(1, m + 1):
+        # Circuits of one size cannot nest (see from_matrix).
+        contains_found = dependence_test(m, found)
         for combo in itertools.combinations(range(m), size):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if any(f & ~mask == 0 for f in found):
+            if contains_found(mask):
                 continue
             if _is_single_cycle(graph.edges, combo):
                 found.append(mask)
@@ -315,8 +328,7 @@ def lcg_stream(seed: int) -> Iterator[int]:
 
 def random_matrix(seed: int, n: int, r: int, p: int) -> MatrixOverGF:
     """Seed-stable random r x n matrix over GF(p), entries column-major."""
-    if p not in FIELD_SIZES:
-        raise InvalidParameter(f"field size must be one of {FIELD_SIZES}, got {p}")
+    _check_field(p)
     if not (0 <= r <= n <= 14):
         raise InvalidParameter("random instances need 0 <= r <= n <= 14")
     stream = lcg_stream(seed)

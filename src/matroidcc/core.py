@@ -2,12 +2,16 @@
 
 A matroid is stored as the full list of its circuits (minimal dependent
 sets) over a labelled ground set of at most 64 elements.  Subsets are int
-bitmasks, and every derived query -- rank, closure, hyperplanes,
-simplicity -- reduces to the single primitive "does this subset contain a
-circuit".  The canonical order used everywhere is by cardinality, then
-lexicographically by element index; every deterministic tie-break in the
-package relies on it.  All types are immutable after construction and safe
-for concurrent reads (caches fill idempotently).
+bitmasks, and every derived query -- axiom validation, rank, closure,
+hyperplanes, simplicity -- reduces to the single primitive "does this
+subset contain a circuit".  ``dependence_test`` is the one place that
+answers it: for ground sets of at most ``MAX_SCAN`` elements by a lookup in
+``dependency_table``, a bitset over all subsets built once per family, and
+for larger ones by a linear scan of the circuits.  The canonical order
+used everywhere is by cardinality, then lexicographically by element
+index; every deterministic tie-break in the package relies on it.  All
+types are immutable after construction and safe for concurrent reads
+(caches fill idempotently).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AxiomError,
@@ -27,7 +31,8 @@ from .errors import (
 
 MAX_GROUND = 64
 # Exhaustive subset scans (hyperplane enumeration, brute-force oracles)
-# refuse ground sets larger than this.
+# refuse ground sets larger than this, and dependency tables (2^n bits,
+# 128 KiB at this size) are built only up to it.
 MAX_SCAN = 20
 
 
@@ -50,6 +55,114 @@ def compress_mask(mask: int, index_map: dict[int, int]) -> int:
     for i in bit_indices(mask):
         out |= 1 << index_map[i]
     return out
+
+
+def _lacking(n: int) -> Iterator[tuple[int, int]]:
+    """For each element i of an n-element ground set: (2^i, the 2^n-bit
+    int marking the subsets that lack i).  Those are the low 2^i bits of
+    every 2^(i+1)-bit period, built by doubling."""
+    size = 1 << n
+    for i in range(n):
+        width = 1 << i
+        lacking = (1 << width) - 1
+        period = width << 1
+        while period < size:
+            lacking |= lacking << period
+            period <<= 1
+        yield width, lacking
+
+
+def _member_bits(n: int, masks: Iterable[int]) -> bytearray:
+    raw = bytearray(max(1, (1 << n) >> 3))
+    for m in masks:
+        if m < 0 or m >> n:
+            raise InvalidParameter(f"mask {m:#x} has bits outside {n} elements")
+        raw[m >> 3] |= 1 << (m & 7)
+    return raw
+
+
+def dependency_table(n: int, masks: Iterable[int]) -> bytes:
+    """Bitset over the 2^n subsets of an n-element ground set: bit S is set
+    iff S contains a member of ``masks``.
+
+    Read bit S as ``table[S >> 3] >> (S & 7) & 1``.  The members are set
+    one bit each, then closed upwards with n shift-OR steps on one 2^n-bit
+    int: step i adds element i to every marked subset that lacks it.
+    """
+    raw = _member_bits(n, masks)
+    table = int.from_bytes(raw, "little")
+    for width, lacking in _lacking(n):
+        table |= (table & lacking) << width
+    return table.to_bytes(len(raw), "little")
+
+
+def contains_smaller_member(dependent: Callable[[int], int], mask: int) -> bool:
+    """True iff some mask - e passes ``dependent``, that is, iff the mask
+    strictly contains a member of the family the test was built from."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if dependent(mask ^ low):
+            return True
+        rest ^= low
+    return False
+
+
+def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
+    """C3 for an antichain without the empty set, decided on all 2^n
+    subsets at once.
+
+    C3 fails iff some subset S with no member inside and some element e
+    outside S have two distinct members through e inside S + e: their
+    union minus e lies in S.  For each e this counts the members through e
+    below every subset, saturating at two, by an upward closure on a pair
+    of bitsets (count >= 1, count >= 2).
+    """
+    lacking = list(_lacking(n))
+    full = (1 << (1 << n)) - 1
+    independent = full ^ int.from_bytes(dependency_table(n, masks), "little")
+    for e, (e_width, e_lack) in enumerate(lacking):
+        one = int.from_bytes(_member_bits(n, (m for m in masks if m >> e & 1)), "little")
+        two = 0
+        for i, (width, lack) in enumerate(lacking):
+            if i != e and one:
+                up = (one & lack) << width
+                two |= ((two & lack) << width) | (one & up)
+                one |= up
+        if two & ((independent & e_lack) << e_width):
+            return False
+    return True
+
+
+def dependence_test(n: int, masks: Iterable[int]) -> Callable[[int], int]:
+    """Predicate "does subset S contain a member of ``masks``" (truthy/falsy)
+    over an n-element ground set.
+
+    Up to ``MAX_SCAN`` elements it is a lookup in ``dependency_table``;
+    beyond that, where the table would be too large, it scans the members
+    by ascending size and tries the last member it found first.
+    """
+    if n <= MAX_SCAN:
+        table = dependency_table(n, masks)
+        return lambda s: table[s >> 3] >> (s & 7) & 1
+    ordered = sorted(masks, key=int.bit_count)
+    sizes = [m.bit_count() for m in ordered]
+    last = [0]
+
+    def scan(s: int) -> bool:
+        hit = last[0]
+        if hit and hit & ~s == 0:
+            return True
+        pc = s.bit_count()
+        for size, m in zip(sizes, ordered):
+            if size > pc:
+                return False
+            if m & ~s == 0:
+                last[0] = m
+                return True
+        return False
+
+    return scan
 
 
 class GroundSet:
@@ -98,14 +211,6 @@ class GroundSet:
 
     def singleton(self, label: str) -> "ElemSet":
         return ElemSet(self, 1 << self.index(label))
-
-    def from_indices(self, indices: Iterable[int]) -> "ElemSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < self.size:
-                raise InvalidParameter(f"element index {i} out of range")
-            mask |= 1 << i
-        return ElemSet(self, mask)
 
     def from_mask(self, mask: int) -> "ElemSet":
         return ElemSet(self, mask)
@@ -285,11 +390,15 @@ class AxiomReport:
 def validate_circuit_axioms(
     circuits: CircuitFamily | Iterable[ElemSet | int],
     ground: GroundSet | None = None,
+    *,
+    dependent: Callable[[int], int] | None = None,
 ) -> AxiomReport:
     """Check C1 (no empty circuit), C2 (antichain), C3 (weak elimination).
 
     Returns a report rather than raising: the first violated axiom in
     canonical scan order together with the witnessing sets/element.
+    ``dependent`` is the family's ``dependence_test`` when the caller
+    already holds it; otherwise it is built here.
     """
     if isinstance(circuits, CircuitFamily):
         fam = circuits
@@ -306,42 +415,41 @@ def validate_circuit_axioms(
     if n and sizes[0] == 0:
         return AxiomReport(False, "C1", (fam.sets[0],))
 
-    # C2: no circuit contains another.  Sizes ascend, so only i < j can nest.
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            if sizes[j] > sizes[i] and mi & ~masks[j] == 0:
-                return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
+    if dependent is None:
+        dependent = dependence_test(g.size, masks)
+
+    # C2: no circuit contains another, i.e. no C - e contains a member.
+    # Only when some circuit does is the first nesting pair searched for;
+    # sizes ascend, so only i < j can nest.
+    if any(contains_smaller_member(dependent, m) for m in masks):
+        for i in range(n):
+            mi = masks[i]
+            for j in range(i + 1, n):
+                if sizes[j] > sizes[i] and mi & ~masks[j] == 0:
+                    return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
 
     # C3 (weak elimination): for distinct circuits and any common element e,
-    # the union minus e must contain some member.  A cached witness is tried
-    # first; similar neighbouring pairs usually share one.
-    witness = 0
+    # the union minus e must contain some member.  Up to MAX_SCAN elements
+    # a bitset pass proves it; the pair scan then only runs to name the
+    # first violating pair and element.
+    if g.size <= MAX_SCAN and _weak_elimination_holds(g.size, masks):
+        return AxiomReport(True)
     for i in range(n):
         mi = masks[i]
         for j in range(i + 1, n):
             mj = masks[j]
             common = mi & mj
-            if not common:
-                continue
             union = mi | mj
-            for e in bit_indices(common):
-                target = union & ~(1 << e)
-                if witness and witness & ~target == 0:
-                    continue
-                pc = target.bit_count()
-                found = 0
-                for size, m in zip(sizes, masks):
-                    if size > pc:
-                        break
-                    if m & ~target == 0:
-                        found = m
-                        break
-                if not found:
+            while common:
+                low = common & -common
+                if not dependent(union ^ low):
                     return AxiomReport(
-                        False, "C3", (fam.sets[i], fam.sets[j]), g.label(e)
+                        False,
+                        "C3",
+                        (fam.sets[i], fam.sets[j]),
+                        g.label(low.bit_length() - 1),
                     )
-                witness = found
+                common ^= low
     return AxiomReport(True)
 
 
@@ -359,6 +467,7 @@ class Matroid:
         "name",
         "_masks",
         "_sizes",
+        "_dependent_mask",
         "_rank_full",
         "_dual_cache",
         "_hyperplane_cache",
@@ -379,10 +488,14 @@ class Matroid:
         )
         if fam.ground != ground:
             raise InvalidParameter("circuit family belongs to a different ground set")
+        # The subset-dependency test serves validation and every rank,
+        # closure and independence query below.
+        dependent = dependence_test(ground.size, fam.masks)
         if validate:
-            report = validate_circuit_axioms(fam)
+            report = validate_circuit_axioms(fam, dependent=dependent)
             if not report.ok:
                 raise AxiomError(report)
+        self._dependent_mask = dependent
         self.ground = ground
         self.circuits = fam
         self.name = name
@@ -393,15 +506,6 @@ class Matroid:
         self._rank_full = self._greedy_basis_mask(ground.full_mask).bit_count()
 
     # -- independence primitives ------------------------------------------
-
-    def _dependent_mask(self, mask: int) -> bool:
-        pc = mask.bit_count()
-        for size, m in zip(self._sizes, self._masks):
-            if size > pc:
-                return False
-            if m & ~mask == 0:
-                return True
-        return False
 
     def _greedy_basis_mask(self, mask: int) -> int:
         cur = 0
@@ -443,10 +547,6 @@ class Matroid:
         """All elements whose addition leaves the rank unchanged."""
         self._own(subset)
         return ElemSet(self.ground, self._closure_mask(subset.mask))
-
-    def is_flat(self, subset: ElemSet) -> bool:
-        self._own(subset)
-        return self._closure_mask(subset.mask) == subset.mask
 
     def hyperplanes(self) -> tuple[ElemSet, ...]:
         """All maximal proper flats, in canonical order.

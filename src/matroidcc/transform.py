@@ -16,7 +16,8 @@ from .core import (
     GroundSet,
     Matroid,
     compress_mask,
-    mask_sort_key,
+    contains_smaller_member,
+    dependence_test,
 )
 from .errors import InvalidParameter, OverlappingSpec, TheoremViolation
 
@@ -109,14 +110,9 @@ def contract(m: Matroid, removed: ElemSet) -> Matroid:
     if not removed:
         return m
     keep = ~removed.mask
-    reduced = sorted(
-        {c & keep for c in m.circuits.masks if c & keep},
-        key=mask_sort_key,
-    )
-    minimal: list[int] = []
-    for cand in reduced:
-        if not any(kept & ~cand == 0 for kept in minimal):
-            minimal.append(cand)
+    reduced = {c & keep for c in m.circuits.masks if c & keep}
+    dependent = dependence_test(m.size, reduced)
+    minimal = [c for c in reduced if not contains_smaller_member(dependent, c)]
     ground, index_map = _survivor_ground(m, removed.mask)
     masks = [compress_mask(c, index_map) for c in minimal]
     return Matroid(ground, masks, validate=False)

@@ -2,7 +2,12 @@
 
 Every routine here is a second route to the answer: subset enumeration
 against rank formulas, union-find on graphs, xor structure for the Fano
-plane.  None of them share code with the package's production paths.
+plane.  None of them share code with the package's production paths.  The
+one exception is ``validate_circuit_axioms_scan``, the package's former
+circuit-axiom validator kept verbatim as the reference for the
+dependency-table version; it shares only the report and family types, and
+imports them when called, so that this module loads without the package
+on the import path.
 """
 
 from __future__ import annotations
@@ -169,3 +174,102 @@ def fano_line_label_sets() -> list[frozenset[str]]:
         for triple in itertools.combinations(range(1, 8), 3)
         if triple[0] ^ triple[1] ^ triple[2] == 0
     ]
+
+
+def validate_circuit_axioms_scan(
+    circuits: CircuitFamily | Iterable[ElemSet | int],
+    ground: GroundSet | None = None,
+) -> AxiomReport:
+    """Check C1 (no empty circuit), C2 (antichain), C3 (weak elimination).
+
+    Returns a report rather than raising: the first violated axiom in
+    canonical scan order together with the witnessing sets/element.
+    """
+    from matroidcc.core import AxiomReport, CircuitFamily, bit_indices
+    from matroidcc.errors import InvalidParameter
+
+    if isinstance(circuits, CircuitFamily):
+        fam = circuits
+    else:
+        if ground is None:
+            raise InvalidParameter("ground set required for a raw circuit list")
+        fam = CircuitFamily(ground, circuits)
+    g = fam.ground
+    masks = fam.masks
+    sizes = fam.sizes
+    n = len(masks)
+
+    # C1: the empty set is never a circuit.  Canonical order puts it first.
+    if n and sizes[0] == 0:
+        return AxiomReport(False, "C1", (fam.sets[0],))
+
+    # C2: no circuit contains another.  Sizes ascend, so only i < j can nest.
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            if sizes[j] > sizes[i] and mi & ~masks[j] == 0:
+                return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
+
+    # C3 (weak elimination): for distinct circuits and any common element e,
+    # the union minus e must contain some member.  A cached witness is tried
+    # first; similar neighbouring pairs usually share one.
+    witness = 0
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            mj = masks[j]
+            common = mi & mj
+            if not common:
+                continue
+            union = mi | mj
+            for e in bit_indices(common):
+                target = union & ~(1 << e)
+                if witness and witness & ~target == 0:
+                    continue
+                pc = target.bit_count()
+                found = 0
+                for size, m in zip(sizes, masks):
+                    if size > pc:
+                        break
+                    if m & ~target == 0:
+                        found = m
+                        break
+                if not found:
+                    return AxiomReport(
+                        False, "C3", (fam.sets[i], fam.sets[j]), g.label(e)
+                    )
+                witness = found
+    return AxiomReport(True)
+
+
+def subset_ranks(circuit_masks: Sequence[int], n: int) -> list[int]:
+    """Rank of every subset of an n-element ground set: a set is
+    independent when it contains no listed circuit, and otherwise its rank
+    is the largest rank among its one-smaller subsets."""
+    ranks = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        if any(c & ~x == 0 for c in circuit_masks):
+            ranks[x] = max(ranks[x & ~(1 << i)] for i in range(n) if x >> i & 1)
+        else:
+            ranks[x] = x.bit_count()
+    return ranks
+
+
+def contraction_circuit_masks(
+    circuit_masks: Sequence[int], n: int, removed: int
+) -> list[int]:
+    """Circuits of the contraction by ``removed``, by the rank formula: the
+    minimal nonempty S outside it with r(S + removed) - r(removed) < |S|.
+    Masks are re-indexed over the surviving elements in ground order."""
+    ranks = subset_ranks(circuit_masks, n)
+    kept = [i for i in range(n) if not removed >> i & 1]
+    found: list[int] = []
+    for size in range(1, len(kept) + 1):
+        for combo in itertools.combinations(range(len(kept)), size):
+            s = mask_of(combo)
+            if any(f & ~s == 0 for f in found):
+                continue
+            whole = removed | mask_of(kept[i] for i in combo)
+            if ranks[whole] - ranks[removed] < size:
+                found.append(s)
+    return sorted(found)

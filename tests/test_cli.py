@@ -164,6 +164,49 @@ def test_verify_cap_exits_three(tmp_path, capsys):
     assert rc == 3
 
 
+def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, monkeypatch):
+    labels = [f"x{i}" for i in range(mc.MAX_SCAN + 1)]
+    path = write(tmp_path, "big.json", {
+        "format": "circuits", "ground": labels, "circuits": [labels],
+    })
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("circuits were built before the cap check")
+
+    monkeypatch.setattr(cli.construct, "from_circuits", refuse)
+    assert cli.main(["verify", path]) == 3
+    err = capsys.readouterr().err
+    assert "CapExceeded" in err and f"{mc.MAX_SCAN + 1} elements" in err
+    monkeypatch.undo()
+    assert cli.main(["inspect", path, "--circuits"]) == 0  # inspect still reads it
+    assert capsys.readouterr().out.count("x") == mc.MAX_SCAN + 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"format": "circuits", "ground": ["a", "b"], "circuits": ["ab"]},
+         "circuits must be a list of label lists"),
+        ({**FANO_DOC, "rows": [["x"] * 7] + FANO_DOC["rows"][1:]},
+         "matrix entries must be integers, got 'x'"),
+        ({**FANO_DOC, "rows": [[1.5] * 7] + FANO_DOC["rows"][1:]},
+         "matrix entries must be integers, got 1.5"),
+        ({**FANO_DOC, "field": "2"}, "got '2'"),
+        ({**FANO_DOC, "field": 2.0}, "got 2.0"),
+        ({**K4_DOC, "vertices": True}, "int vertex count"),
+        ({**K4_DOC, "edges": [[False, True, "a"]] + K4_DOC["edges"]}, "[u, v, label] triples"),
+    ],
+    ids=["string-circuit", "entry-x", "entry-1.5", "field-str", "field-float",
+         "vertices-true", "endpoint-bool"],
+)
+def test_verify_rejects_mistyped_fields_with_one_line(tmp_path, capsys, doc, message):
+    rc = cli.main(["verify", write(tmp_path, "bad.json", doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_mapping():
     assert cli._exit_code_for(mc.CapExceeded("x")) == 3
     assert cli._exit_code_for(mc.TheoremViolation("x")) == 1

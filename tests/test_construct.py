@@ -94,6 +94,15 @@ def test_from_matrix_rank_matches_row_reduction():
             assert m.rank() == oracles.gf_rank_oracle(matrix.columns, p)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), rows=st.integers(1, 4), n=st.integers(1, 8))
+def test_from_matrix_circuits_match_enumeration_oracle_on_random_matrices(data, p, rows, n):
+    entry = st.integers(min_value=0, max_value=p - 1)
+    columns = data.draw(st.lists(st.tuples(*[entry] * rows), min_size=n, max_size=n))
+    m = mc.from_matrix(MatrixOverGF(p, rows, tuple(columns)))
+    assert sorted(m.circuits.masks) == oracles.linear_circuit_masks(columns, p)
+
+
 def test_matrix_field_must_be_small_prime():
     with pytest.raises(mc.InvalidParameter):
         MatrixOverGF(p=4, rows=1, columns=((1,),))
@@ -101,6 +110,10 @@ def test_matrix_field_must_be_small_prime():
         MatrixOverGF(p=6, rows=1, columns=((1,),))
     with pytest.raises(mc.InvalidParameter):
         MatrixOverGF(p=2, rows=2, columns=((1,),))  # wrong column length
+    with pytest.raises(mc.InvalidParameter, match="got 2.0"):
+        MatrixOverGF.from_rows(2.0, [[1]])
+    with pytest.raises(mc.InvalidParameter, match="got 1.5"):
+        MatrixOverGF.from_rows(2, [[1, 1.5]])
 
 
 @settings(max_examples=30, derandomize=True)
@@ -152,6 +165,17 @@ def test_from_graph_rank_is_vertices_minus_components():
     edges = ((0, 1, "a"), (1, 2, "b"), (0, 2, "c"), (3, 4, "d"))
     m = mc.from_graph(GraphSpec(5, edges))
     assert m.rank() == 5 - oracles.graph_components(5, edges)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), vertices=st.integers(1, 5))
+def test_from_graph_circuits_match_union_find_oracle_on_random_multigraphs(data, vertices):
+    # Loops and parallel edges are allowed, so 1- and 2-cycles occur.
+    ends = st.integers(min_value=0, max_value=vertices - 1)
+    pairs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=9))
+    edges = tuple((u, v, f"e{i}") for i, (u, v) in enumerate(pairs))
+    m = mc.from_graph(GraphSpec(vertices, edges))
+    assert sorted(m.circuits.masks) == oracles.graph_circuit_masks(edges)
 
 
 def test_graph_spec_validation():

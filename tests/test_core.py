@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
@@ -105,6 +106,113 @@ def test_matroid_constructor_rejects_bad_family():
     g = ground(2)
     with pytest.raises(mc.AxiomError):
         Matroid(g, [g.subset(["1"]), g.subset(["1", "2"])])
+
+
+# ---------------------------------------------------------------------------
+# Dependency table and validation against the scan oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def circuit_families(draw, min_n: int = 0, max_n: int = 9):
+    """(n, masks): circuits of a uniform or linear matroid, a small
+    matroid's circuits padded with coloops, or arbitrary masks, then up to
+    three random edits, so that C1, C2 and C3 violations all occur."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    top = (1 << n) - 1
+    kind = draw(st.sampled_from(["arbitrary", "uniform", "linear", "padded"]))
+    if kind == "uniform" and n <= 9:
+        r = draw(st.integers(min_value=0, max_value=n))
+        masks = [oracles.mask_of(c) for c in itertools.combinations(range(n), r + 1)]
+    elif kind == "linear" and 1 <= n <= 9:
+        p = draw(st.sampled_from([2, 3, 5]))
+        rows = draw(st.integers(min_value=1, max_value=4))
+        columns = draw(
+            st.lists(
+                st.tuples(*[st.integers(min_value=0, max_value=p - 1)] * rows),
+                min_size=n, max_size=n,
+            )
+        )
+        masks = list(mc.from_matrix(mc.MatrixOverGF(p, rows, tuple(columns))).circuits.masks)
+    elif kind == "padded":
+        masks = list(mc.named(draw(st.sampled_from(["fano", "k4", "vamos"]))).circuits.masks)
+        masks = [m for m in masks if m <= top]
+    else:
+        masks = draw(st.lists(st.integers(min_value=0, max_value=top), max_size=12))
+    edits = st.tuples(
+        st.sampled_from(["drop", "add", "flip"]),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=top),
+    )
+    for op, at, value in draw(st.lists(edits, max_size=3)):
+        if op == "add":
+            masks.append(value)
+        elif masks and op == "drop":
+            masks.pop(at % len(masks))
+        elif masks and n:
+            masks[at % len(masks)] ^= 1 << (at % n)
+    return n, masks
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(circuit_families(max_n=8))
+def test_dependency_table_matches_brute_force_on_every_subset(family):
+    n, masks = family
+    table = mc.core.dependency_table(n, masks)
+    assert len(table) == max(1, 2**n // 8)
+    for s in range(2**n):
+        want = any(m & ~s == 0 for m in masks)
+        assert bool(table[s >> 3] >> (s & 7) & 1) == want
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    circuit_families(min_n=21, max_n=24),
+    st.lists(st.integers(min_value=0, max_value=2**24 - 1), max_size=20),
+)
+def test_dependence_test_beyond_table_size_scans(family, subsets):
+    n, masks = family
+    dependent = mc.core.dependence_test(n, masks)
+    for s in subsets + masks:
+        s &= (1 << n) - 1
+        assert bool(dependent(s)) == any(m & ~s == 0 for m in masks)
+
+
+def assert_same_report(n: int, masks: list[int]) -> mc.AxiomReport:
+    g = ground(n)
+    got = mc.validate_circuit_axioms(masks, g)
+    want = oracles.validate_circuit_axioms_scan(masks, g)
+    assert got == want
+    assert got.describe() == want.describe()
+    if want.axiom in (None, "C3") and n <= mc.MAX_SCAN:
+        # The bitset pass must decide C3 itself, not defer to the pair scan.
+        assert mc.core._weak_elimination_holds(n, masks) == want.ok
+    return want
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(circuit_families())
+def test_validation_matches_scan_oracle(family):
+    assert_same_report(*family)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(circuit_families(min_n=21, max_n=24))
+def test_validation_matches_scan_oracle_beyond_table_size(family):
+    assert_same_report(*family)
+
+
+@pytest.mark.parametrize("axiom", ["C1", "C2", "C3", None])
+def test_family_strategy_covers_every_outcome(axiom):
+    def outcome(family):
+        return oracles.validate_circuit_axioms_scan(family[1], ground(family[0])).axiom
+
+    found = find(
+        circuit_families(),
+        lambda f: outcome(f) == axiom,
+        settings=settings(derandomize=True, database=None, phases=[Phase.generate]),
+    )
+    assert_same_report(*found)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,16 @@ def test_contract_fano_point_gives_three_parallel_pairs():
     assert len(pairs) == 3  # the three lines through the point collapse
 
 
+@pytest.mark.parametrize("name", SAMPLE)
+def test_contract_circuits_match_rank_oracle_for_every_removed_set(name):
+    m = build(name)
+    g = m.ground
+    for tmask in oracles.submasks(g.full_mask):
+        got = contract(m, g.from_mask(tmask))
+        want = oracles.contraction_circuit_masks(m.circuits.masks, m.size, tmask)
+        assert sorted(got.circuits.masks) == want
+
+
 @pytest.mark.parametrize("name", ["u5_3", "fano", "k4"])
 def test_contract_rank_formula_exhaustive(name):
     m = build(name)
