@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     TheoremViolation,
 )
-from .transform import MinorSpec, cocircuits, contract, delete, dual, minor
+from .transform import MinorSpec, cocircuits, contract, delete, dual
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -272,12 +272,6 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
         )
         if candidate.invariant_failures():
             return None
-        # The incremental build must agree with applying the spec in one go.
-        if minor(m, spec) != cur:
-            raise TheoremViolation(
-                "incrementally built minor differs from its spec; "
-                "minor machinery is buggy"
-            )
         return candidate
 
     def dfs(
@@ -352,16 +346,20 @@ class CeFamily:
     members: tuple[ElemSet, ...]
 
 
+def _ce_members(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
+    """Circuits C of the minor with C - X = {element}, in canonical order."""
+    ebit = 1 << ox.minor.ground.index(element)
+    allowed = ox.x.mask | ebit
+    return tuple(
+        c for c in ox.minor.circuits if c.mask & ebit and c.mask & ~allowed == 0
+    )
+
+
 def ce_family(ox: OxleyMinor, element: str) -> CeFamily:
     """All circuits C of the minor with C - X = {element}; at least two."""
     if element not in ox.y:
         raise PreconditionViolated(f"element {element!r} is not in Y")
-    n = ox.minor
-    ebit = 1 << n.ground.index(element)
-    allowed = ox.x.mask | ebit
-    members = tuple(
-        c for c in n.circuits if c.mask & ebit and c.mask & ~allowed == 0
-    )
+    members = _ce_members(ox, element)
     if len(members) < 2:
         raise TheoremViolation(
             f"only {len(members)} circuit(s) leave X exactly at {element!r}; "
@@ -401,10 +399,7 @@ def check_ce_families(ox: OxleyMinor) -> PropertyReport:
 
     for element in ox.y.labels():
         ebit = 1 << n.ground.index(element)
-        allowed = ox.x.mask | ebit
-        members = [
-            c for c in n.circuits if c.mask & ebit and c.mask & ~allowed == 0
-        ]
+        members = _ce_members(ox, element)
         stats["families"] += 1
         for c in members:
             if not 3 <= len(c) <= k:
@@ -658,6 +653,19 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
     return found
 
 
+def witness_k6(ox: OxleyMinor, cap: int = DEFAULT_PAIR_CAP) -> CCIntersection:
+    """Size-4 intersection inside a k=6 minor (at most ten elements), found
+    by oracle enumeration."""
+    if ox.k != 6:
+        raise PreconditionViolated(f"k = {ox.k}; this witness is for k = 6")
+    inner = find_intersection_of_size(ox.minor, 4, cap)
+    if inner is None:
+        raise TheoremViolation(
+            "no size-4 intersection inside the k=6 minor; one is guaranteed"
+        )
+    return inner
+
+
 # ---------------------------------------------------------------------------
 # Lifting and witness chains
 # ---------------------------------------------------------------------------
@@ -666,16 +674,18 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
 def lift_intersection(
     m: Matroid,
     spec: MinorSpec,
+    sub: Matroid,
     circuit_n: ElemSet,
     cocircuit_n: ElemSet,
 ) -> tuple[ElemSet, ElemSet]:
-    """Lift a minor's circuit/cocircuit pair to the parent.
+    """Lift a circuit/cocircuit pair of ``sub`` = ``minor(m, spec)`` to m.
 
     Canonical-order scan: the lifted circuit avoids the deleted set and
     reduces to the minor circuit after contraction; dually for the
     cocircuit.  Any such pair meets in exactly the minor intersection.
     """
-    sub = minor(m, spec)
+    if sub.ground.labels != spec.removed.complement().labels():
+        raise PreconditionViolated("lift minor is not over the spec's survivors")
     if circuit_n not in sub.circuits:
         raise PreconditionViolated("lift input is not a circuit of the minor")
     if cocircuit_n not in cocircuits(sub):
@@ -747,33 +757,6 @@ class WitnessChain:
     k: int
     steps: tuple
     final: CCIntersection
-
-
-def witness_k6(
-    m: Matroid,
-    circuit: ElemSet,
-    cocircuit: ElemSet,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> WitnessChain:
-    """Chain for |C & D| = 6: extract the minor (at most ten elements),
-    find a size-4 intersection inside it by oracle enumeration, and lift."""
-    if len(circuit & cocircuit) != 6:
-        raise PreconditionViolated("witness_k6 needs an intersection of size 6")
-    ox = oxley_minor(m, circuit, cocircuit)
-    inner = find_intersection_of_size(ox.minor, 4, cap)
-    if inner is None:
-        raise TheoremViolation(
-            "no size-4 intersection inside the k=6 minor; one is guaranteed"
-        )
-    lifted_c, lifted_d = lift_intersection(m, ox.spec, inner.circuit, inner.cocircuit)
-    final = CCIntersection.of(lifted_c, lifted_d)
-    if final.size != 4:
-        raise TheoremViolation(f"lifted size {final.size} instead of 4")
-    return WitnessChain(
-        k=6,
-        steps=(ExtractionStep(ox), OracleStep(inner), LiftStep(lifted_c, lifted_d)),
-        final=final,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -867,29 +850,28 @@ def verify_conjecture(
             )
         first = find_intersection_of_size(m, k, cap)
         assert first is not None
-        if k == 6:
-            chain = witness_k6(m, first.circuit, first.cocircuit, cap)
-            ox = chain.steps[0].minor
+        ox = oxley_minor(m, first.circuit, first.cocircuit)
+        # Looked up at call time, so wrappers installed on the module apply.
+        if k == 4:
+            inner = witness_k4(ox)
+        elif k == 5:
+            inner = witness_k5(ox)
         else:
-            ox = oxley_minor(m, first.circuit, first.cocircuit)
-            inner = witness_k4(ox) if k == 4 else witness_k5(ox)
-            lifted_c, lifted_d = lift_intersection(
-                m, ox.spec, inner.circuit, inner.cocircuit
+            inner = witness_k6(ox, cap)
+        lifted_c, lifted_d = lift_intersection(
+            m, ox.spec, ox.minor, inner.circuit, inner.cocircuit
+        )
+        final = CCIntersection.of(lifted_c, lifted_d)
+        if final.size != k - 2:
+            raise TheoremViolation(
+                f"{label}: chain for k={k} ended at size {final.size}"
             )
-            final = CCIntersection.of(lifted_c, lifted_d)
-            if final.size != k - 2:
-                raise TheoremViolation(
-                    f"{label}: chain for k={k} ended at size {final.size}"
-                )
-            chain = WitnessChain(
-                k=k,
-                steps=(
-                    ExtractionStep(ox),
-                    WitnessStep(inner),
-                    LiftStep(lifted_c, lifted_d),
-                ),
-                final=final,
-            )
+        found = OracleStep(inner) if k == 6 else WitnessStep(inner)
+        chain = WitnessChain(
+            k=k,
+            steps=(ExtractionStep(ox), found, LiftStep(lifted_c, lifted_d)),
+            final=final,
+        )
         minors.append(ox)
         entries.append(ConjectureEntry(k=k, oracle_ok=oracle_ok, chain=chain))
     co_count = len(cocircuits(m))

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -61,12 +59,14 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     fmt = _require(doc, "format", str(path))
@@ -330,10 +330,9 @@ def report_text(report: analyze.ConjectureReport, ms: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    paths = sorted(str(p) for p in args.paths)
-    threads = args.threads if args.threads and args.threads > 0 else (os.cpu_count() or 1)
-
-    def job(path: str) -> tuple[analyze.ConjectureReport, float] | MatroidError:
+    entries = []
+    first_error: tuple[str, MatroidError] | None = None
+    for path in sorted(str(p) for p in args.paths):
         start = time.perf_counter()
         try:
             # Hyperplane enumeration refuses more than MAX_SCAN elements, so
@@ -341,28 +340,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             m = parse_matroid(path, max_elements=MAX_SCAN)
             report = analyze.verify_conjecture(m, cap=args.cap)
         except MatroidError as err:
-            return err
-        return report, (time.perf_counter() - start) * 1000.0
-
-    # A single worker gains nothing from a pool but a hand-off per file.
-    if threads == 1:
-        outcomes = [job(path) for path in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, paths))
-
-    entries = []
-    first_error: tuple[str, MatroidError] | None = None
-    for path, outcome in zip(paths, outcomes):
-        if isinstance(outcome, MatroidError):
             if first_error is None:
-                first_error = (path, outcome)
+                first_error = (path, err)
             continue
-        report, ms = outcome
+        ms = (time.perf_counter() - start) * 1000.0
         print(report_text(report, ms))
-        entries.append(
-            report_entry_dict(report, ms if args.timings else None)
-        )
+        entries.append(report_entry_dict(report, ms if args.timings else None))
     if args.json:
         doc = {"report_version": REPORT_VERSION, "entries": entries}
         Path(args.json).write_text(_dump(doc), encoding="utf-8")
@@ -462,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify inputs and report")
     p_verify.add_argument("paths", nargs="+", help="matroid JSON files")
     p_verify.add_argument("--json", help="write the machine report here")
-    p_verify.add_argument("--threads", type=int, default=0, help="worker threads")
+    p_verify.add_argument(
+        "--threads", type=int, default=0,
+        help="accepted for compatibility; has no effect (files run one by one)",
+    )
     p_verify.add_argument(
         "--cap", type=int, default=analyze.DEFAULT_PAIR_CAP,
         help="max circuit-cocircuit pairs per matroid",

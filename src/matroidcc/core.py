@@ -10,8 +10,7 @@ answers it: for ground sets of at most ``MAX_SCAN`` elements by a lookup in
 for larger ones by a linear scan of the circuits.  The canonical order
 used everywhere is by cardinality, then lexicographically by element
 index; every deterministic tie-break in the package relies on it.  All
-types are immutable after construction and safe for concurrent reads
-(caches fill idempotently).
+types are immutable after construction (caches fill idempotently).
 """
 
 from __future__ import annotations
@@ -304,9 +303,6 @@ class ElemSet:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self)
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return mask_sort_key(self.mask)
 
     def to_ground(self, other: GroundSet) -> "ElemSet":
         """Translate by labels onto another ground set."""

@@ -180,7 +180,7 @@ def test_criterion_6_minor_heredity(catalog):
             for size in child_sizes:
                 cc = analyze.find_intersection_of_size(sub, size)
                 lifted_c, lifted_d = analyze.lift_intersection(
-                    m, spec, cc.circuit, cc.cocircuit
+                    m, spec, sub, cc.circuit, cc.cocircuit
                 )
                 assert (lifted_c & lifted_d).labels() == cc.intersection.labels()
                 lifts_checked += 1

@@ -125,6 +125,18 @@ def test_extraction_across_named_matroids(name, k):
     assert ox.minor.size == 2 * k - 2
 
 
+def test_extracted_minors_match_their_spec(catalog, conjecture_reports):
+    # The search builds each minor one removal at a time; applying the
+    # recorded spec in one go must give the same matroid.
+    checked = 0
+    for name, m in catalog:
+        for entry in conjecture_reports[name].entries:
+            ox = entry.chain.steps[0].minor
+            assert mc.minor(m, ox.spec) == ox.minor, (name, entry.k)
+            checked += 1
+    assert checked == 33
+
+
 def test_extraction_preconditions():
     u63 = mc.uniform(6, 3)
     g = u63.ground
@@ -303,31 +315,41 @@ def test_witness_k5_direct_branch_cocircuit_side():
 
 def test_witness_k6_chain():
     u105 = mc.uniform(10, 5)
-    cc = first_pair(u105, 6)
-    chain = witness_k6(u105, cc.circuit, cc.cocircuit)
+    ox = extract(u105, 6)
+    inner = witness_k6(ox)
+    assert inner == find_intersection_of_size(ox.minor, 4)
+    lifted_c, lifted_d = lift_intersection(
+        u105, ox.spec, ox.minor, inner.circuit, inner.cocircuit
+    )
+    assert len(lifted_c & lifted_d) == 4
+    assert lifted_c in u105.circuits
+    assert lifted_d in cocircuits(u105)
+    chain = verify_conjecture(u105).entries[-1].chain
     assert chain.k == 6 and chain.final.size == 4
     kinds = [step.kind for step in chain.steps]
     assert kinds == ["extraction", "oracle-size-4", "lift"]
-    assert chain.final.circuit in u105.circuits
-    assert chain.final.cocircuit in cocircuits(u105)
+    assert chain.steps[1].found == inner
+    assert (chain.final.circuit, chain.final.cocircuit) == (lifted_c, lifted_d)
 
 
 def test_witness_k6_needs_size_6():
-    u105 = mc.uniform(10, 5)
-    cc = first_pair(u105, 5)
     with pytest.raises(mc.PreconditionViolated):
-        witness_k6(u105, cc.circuit, cc.cocircuit)
+        witness_k6(extract(mc.uniform(10, 5), 5))
 
 
 def test_witness_k6_on_random_binary_matroid():
     # Seeded GF(2) instance achieving sizes (2, 4, 6) and nothing odd.
     m = mc.random_linear(2, 12, 6, 2)
     assert mc.achieved_sizes(m) == (2, 4, 6)
-    cc = first_pair(m, 6)
-    chain = witness_k6(m, cc.circuit, cc.cocircuit)
-    assert chain.final.size == 4
-    assert chain.final.circuit in m.circuits
-    assert chain.final.cocircuit in cocircuits(m)
+    ox = extract(m, 6)
+    inner = witness_k6(ox)
+    assert inner.size == 4
+    lifted_c, lifted_d = lift_intersection(
+        m, ox.spec, ox.minor, inner.circuit, inner.cocircuit
+    )
+    assert len(lifted_c & lifted_d) == 4
+    assert lifted_c in m.circuits
+    assert lifted_d in cocircuits(m)
     report = verify_conjecture(m)
     assert [(e.k, e.chain.final.size) for e in report.entries] == [(4, 2), (6, 4)]
 
@@ -341,7 +363,7 @@ def test_lift_through_empty_spec_is_identity():
     f7 = mc.named("fano")
     cc = first_pair(f7, 4)
     spec = MinorSpec.empty(f7.ground)
-    lifted_c, lifted_d = lift_intersection(f7, spec, cc.circuit, cc.cocircuit)
+    lifted_c, lifted_d = lift_intersection(f7, spec, f7, cc.circuit, cc.cocircuit)
     assert lifted_c == cc.circuit and lifted_d == cc.cocircuit
 
 
@@ -350,7 +372,7 @@ def test_lift_through_deletion():
     spec = MinorSpec(u63.ground.subset(["6"]), u63.ground.empty())
     sub = mc.minor(u63, spec)
     cc = cc_intersections(sub)[0]
-    lifted_c, lifted_d = lift_intersection(u63, spec, cc.circuit, cc.cocircuit)
+    lifted_c, lifted_d = lift_intersection(u63, spec, sub, cc.circuit, cc.cocircuit)
     assert lifted_c in u63.circuits
     assert lifted_d in cocircuits(u63)
     assert (lifted_c & lifted_d).labels() == cc.intersection.labels()
@@ -361,7 +383,7 @@ def test_lift_through_contraction():
     spec = MinorSpec(f7.ground.empty(), f7.ground.subset(["1"]))
     sub = mc.minor(f7, spec)
     cc = cc_intersections(sub)[0]
-    lifted_c, lifted_d = lift_intersection(f7, spec, cc.circuit, cc.cocircuit)
+    lifted_c, lifted_d = lift_intersection(f7, spec, sub, cc.circuit, cc.cocircuit)
     assert lifted_c in f7.circuits
     assert lifted_d in cocircuits(f7)
     assert (lifted_c & lifted_d).labels() == cc.intersection.labels()
@@ -373,8 +395,21 @@ def test_lift_rejects_non_circuits():
     sub = mc.minor(u63, spec)
     with pytest.raises(mc.PreconditionViolated):
         lift_intersection(
-            u63, spec, sub.ground.subset(["1", "2"]), sub.ground.subset(["1", "2"])
+            u63, spec, sub, sub.ground.subset(["1", "2"]), sub.ground.subset(["1", "2"])
         )
+    # In U(3,5) the 4-sets are circuits and the 3-sets are cocircuits.
+    four = sub.ground.subset(["1", "2", "3", "4"])
+    with pytest.raises(mc.PreconditionViolated):
+        lift_intersection(u63, spec, sub, four, four)
+
+
+def test_lift_rejects_a_minor_over_other_elements():
+    u63 = mc.uniform(6, 3)
+    spec = MinorSpec(u63.ground.subset(["6"]), u63.ground.empty())
+    other = mc.minor(u63, MinorSpec(u63.ground.empty(), u63.ground.subset(["5"])))
+    cc = cc_intersections(other)[0]
+    with pytest.raises(mc.PreconditionViolated):
+        lift_intersection(u63, spec, other, cc.circuit, cc.cocircuit)
 
 
 # ---------------------------------------------------------------------------

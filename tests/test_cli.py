@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +210,24 @@ def test_verify_rejects_mistyped_fields_with_one_line(tmp_path, capsys, doc, mes
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "nested-200k"],
+)
+def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc = cli.main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_mapping():
     assert cli._exit_code_for(mc.CapExceeded("x")) == 3
     assert cli._exit_code_for(mc.TheoremViolation("x")) == 1
@@ -331,3 +352,46 @@ def test_verify_timings_flag_adds_ms(tmp_path, capsys):
     capsys.readouterr()
     entry = json.loads(out.read_text())["entries"][0]
     assert "ms" in entry and entry["ms"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# Reports pinned by the benchmark
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_inputs():
+    """``bench/inputs.py``, loaded by path (``bench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def verify_json(paths, out) -> bytes:
+    assert cli.main(["verify", *map(str, paths), "--json", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_catalog_report_matches_pinned_hash(catalog_dir, tmp_path, capsys):
+    # catalog_dir is the seed-1 catalog, pinned in slot 1.
+    inputs = bench_inputs()
+    pinned = inputs.load_pinned("catalog")["slots"][inputs.slot_of(1)]
+    report = verify_json(sorted(catalog_dir.glob("*.json")), tmp_path / "report.json")
+    capsys.readouterr()
+    assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
+
+
+def test_scale_report_matches_pinned_hash(tmp_path, capsys):
+    inputs = bench_inputs()
+    pinned = inputs.load_pinned("scale")["slots"][inputs.slot_of(1)]
+    inputs.write_documents(inputs.documents("scale", pinned["instances"]), tmp_path / "in")
+    report = verify_json(sorted((tmp_path / "in").glob("*.json")), tmp_path / "report.json")
+    capsys.readouterr()
+    assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
+    chains = {
+        entry["name"]: [c["k"] for c in entry["conjecture"]]
+        for entry in json.loads(report)["entries"]
+    }
+    assert chains == {"gf5_14_7": [4, 5, 6], "k6": [4, 6], "u11_5": [4, 5, 6]}
