@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -47,8 +48,21 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _is_text(x: Any) -> bool:
+    """A string that encodes as UTF-8.  JSON escapes can spell lone
+    surrogates ("\\ud800"), which would only fail once the report is
+    printed."""
+    if not isinstance(x, str):
+        return False
+    try:
+        x.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _is_label_list(x: Any) -> bool:
-    return isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+    return isinstance(x, list) and all(map(_is_text, x))
 
 
 def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroid:
@@ -71,8 +85,8 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
         raise ParseError(f"{path}: top level must be an object")
     fmt = _require(doc, "format", str(path))
     name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError(f"{path}: name must be a string")
+    if name is not None and not _is_text(name):
+        raise ParseError(f"{path}: name must be a string without lone surrogates")
     if name is None:
         name = path.stem
 
@@ -80,7 +94,9 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
         ground = _require(doc, "ground", str(path))
         circuits = _require(doc, "circuits", str(path))
         if not _is_label_list(ground):
-            raise ParseError(f"{path}: ground must be a list of strings")
+            raise ParseError(
+                f"{path}: ground must be a list of strings without lone surrogates"
+            )
         if not ground:
             raise ParseError(f"{path}: empty ground set")
         if len(ground) > max_elements:
@@ -95,8 +111,10 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
         p = _require(doc, "field", str(path))
         labels = _require(doc, "labels", str(path))
         rows = _require(doc, "rows", str(path))
-        if not isinstance(labels, list) or not labels:
-            raise ParseError(f"{path}: labels must be a non-empty list")
+        if not _is_label_list(labels) or not labels:
+            raise ParseError(
+                f"{path}: labels must be a non-empty list of strings without lone surrogates"
+            )
         if not isinstance(rows, list):
             raise ParseError(f"{path}: rows must be a list of int lists")
         for row in rows:
@@ -116,9 +134,12 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
                 or len(e) != 3
                 or not construct._is_int(e[0])
                 or not construct._is_int(e[1])
-                or not isinstance(e[2], str)
+                or not _is_text(e[2])
             ):
-                raise ParseError(f"{path}: edges must be [u, v, label] triples")
+                raise ParseError(
+                    f"{path}: edges must be [u, v, label] triples, "
+                    "the label a string without lone surrogates"
+                )
             parsed.append((e[0], e[1], e[2]))
         m = construct.from_graph(
             construct.GraphSpec(vertex_count=vertices, edges=tuple(parsed)),
@@ -142,8 +163,31 @@ def matroid_doc(m: Matroid, name: str | None = None) -> dict:
     return doc
 
 
+def _indented(value: Any, pad: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, where ``pad`` is
+    the newline and indent of the line ``value`` starts on.  The standard
+    library writes indented JSON through its pure-Python encoder; joining
+    each container's items at once takes about half the time."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _indented(doc, "\n") + "\n"
 
 
 def write_matroid(m: Matroid, path: str | Path, name: str | None = None) -> None:

@@ -1,8 +1,12 @@
 """Matroid constructors: uniform, linear over small prime fields, graphic,
 named catalog entries, and seeded random linear instances.
 
-All constructors validate the resulting circuit family, so anything built
-here is safe input for the rest of the package.
+A linear matroid's circuits come from a depth-first walk over its
+independent column sets, which extends one echelon basis a column at a
+time (``from_matrix``); a graphic matroid's from a size-ordered scan of
+edge subsets for single cycles (``from_graph``).  All constructors
+validate the resulting circuit family, so anything built here is safe
+input for the rest of the package.
 """
 
 from __future__ import annotations
@@ -107,22 +111,42 @@ def uniform(n: int, k: int, labels: Sequence[str] | None = None) -> Matroid:
     return Matroid(ground, masks, name=f"u{n}_{k}")
 
 
+def _lead(vec: Sequence[int], width: int) -> int:
+    """Index of the first nonzero among the first ``width`` entries, or -1."""
+    for i in range(width):
+        if vec[i]:
+            return i
+    return -1
+
+
+def _unit_lead(vec: Sequence[int], lead: int, p: int) -> list[int]:
+    """``vec`` scaled over GF(p) so that its entry at ``lead`` is 1."""
+    inv = pow(vec[lead], p - 2, p)
+    return [x * inv % p for x in vec]
+
+
+def _eliminate(vec: list[int], row: Sequence[int], lead: int, p: int) -> list[int]:
+    """One reduction step: ``vec`` minus the multiple of ``row`` (whose entry
+    at ``lead`` is 1) that clears ``vec[lead]``; ``vec`` itself if it is
+    already clear there."""
+    c = vec[lead]
+    if not c:
+        return vec
+    return [(a - c * b) % p for a, b in zip(vec, row)]
+
+
 def gf_rank(vectors: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of a set of vectors over GF(p), by Gaussian elimination."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
+    """Rank of a set of vectors over GF(p), by Gaussian elimination: each
+    vector is reduced against the echelon rows kept so far and becomes a
+    new row unless it reduces to zero."""
+    basis: list[tuple[int, list[int]]] = []
     for vec in vectors:
-        row = [x % p for x in vec]
-        for piv, brow in zip(pivots, basis):
-            c = row[piv]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, brow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], p - 2, p)
-        basis.append([(a * inv) % p for a in row])
-        pivots.append(lead)
+        reduced = [x % p for x in vec]
+        for lead, row in basis:
+            reduced = _eliminate(reduced, row, lead, p)
+        lead = _lead(reduced, len(reduced))
+        if lead >= 0:
+            basis.append((lead, _unit_lead(reduced, lead, p)))
     return len(basis)
 
 
@@ -133,9 +157,14 @@ def from_matrix(
 ) -> Matroid:
     """Linear matroid of the matrix columns over GF(p).
 
-    Circuits are found by scanning column subsets in size order and rank
-    testing with elimination; a subset free of previously found circuits
-    that is dependent is automatically minimal.
+    Circuits come from a depth-first walk over the independent column sets
+    in lex order.  Every column after the last chosen one is kept reduced
+    against the echelon rows of the chosen columns, so extending the set by
+    a column costs one reduction step per later column.  Each vector also
+    carries, in one slot per depth, its coefficients over the chosen
+    columns; a column that reduces to zero closes its fundamental circuit,
+    named by the nonzero slots, and drops out of the walk below that set.
+    Every circuit C turns up at the independent set C - max(C).
     """
     cols = matrix.columns
     n = len(cols)
@@ -149,20 +178,37 @@ def from_matrix(
     if ground.size != n:
         raise InvalidParameter("label count does not match the column count")
     p = matrix.p
-    full_rank = gf_rank(cols, p)
-    found: list[int] = []
-    for size in range(1, min(n, full_rank + 1) + 1):
-        # Circuits of one size cannot nest, so the test of the circuits
-        # found so far holds for the whole level.
-        contains_found = dependence_test(n, found)
-        for combo in itertools.combinations(range(n), size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            if contains_found(m):
+    rows = matrix.rows
+    found: set[int] = set()
+    chosen: list[int] = []
+
+    # A candidate (j, vec): the first ``rows`` entries of vec are column j
+    # plus the sum of vec[rows + d] times column chosen[d].
+    def extend(candidates: list[tuple[int, list[int]]]) -> None:
+        depth = len(chosen)
+        live = []
+        for j, vec in candidates:
+            lead = _lead(vec, rows)
+            if lead >= 0:
+                live.append((j, vec, lead))
                 continue
-            if gf_rank([cols[i] for i in combo], p) < size:
-                found.append(m)
+            mask = 1 << j
+            for d in range(depth):
+                if vec[rows + d]:
+                    mask |= 1 << chosen[d]
+            found.add(mask)
+        # The last live column has no later column left to test.
+        for i in range(len(live) - 1):
+            j, vec, lead = live[i]
+            row = _unit_lead(vec, lead, p)
+            # Column j's own coefficient, scaled with the rest of the row.
+            row[rows + depth] = pow(vec[lead], p - 2, p)
+            chosen.append(j)
+            extend([(k, _eliminate(v, row, lead, p)) for k, v, _ in live[i + 1:]])
+            chosen.pop()
+
+    # The rank, and so the depth, is at most the row count.
+    extend([(j, list(col) + [0] * min(rows, n)) for j, col in enumerate(cols)])
     return Matroid(ground, found, name=name)
 
 
@@ -208,7 +254,8 @@ def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
     ground = GroundSet(lab for _, _, lab in graph.edges)
     found: list[int] = []
     for size in range(1, m + 1):
-        # Circuits of one size cannot nest (see from_matrix).
+        # Circuits of one size cannot nest, so the test of the circuits
+        # found so far holds for the whole level.
         contains_found = dependence_test(m, found)
         for combo in itertools.combinations(range(m), size):
             mask = 0

@@ -43,16 +43,41 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical comparison key: cardinality, then lex on ascending indices."""
-    return (mask.bit_count(), tuple(bit_indices(mask)))
+# Byte b bit-reversed, for reversing the bits of a mask one byte at a time.
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def compress_mask(mask: int, index_map: dict[int, int]) -> int:
-    """Re-express a mask through an old-index -> new-index table."""
-    out = 0
-    for i in bit_indices(mask):
-        out |= 1 << index_map[i]
+def mask_sort_key(mask: int) -> int:
+    """Canonical comparison key: cardinality, then lex on ascending indices.
+
+    Of two sets of one size, A comes first iff the lowest element of A ^ B
+    is in A, that is, iff A reversed over the 64 mask bits is the larger.
+    The key is cardinality * 2^64 minus that reversal.
+    """
+    reversed_mask = int.from_bytes(
+        mask.to_bytes(MAX_GROUND // 8, "little").translate(_BYTE_REVERSED), "big"
+    )
+    return (mask.bit_count() << MAX_GROUND) - reversed_mask
+
+
+def compress_masks(masks: Iterable[int], kept: int) -> list[int]:
+    """Re-index masks lying inside ``kept`` onto its elements in ascending
+    order (the i-th element of ``kept`` becomes bit i).  Each maximal run
+    of kept positions moves down by one shift."""
+    runs: list[tuple[int, int]] = []
+    rest = kept
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)  # the lowest run of consecutive kept bits
+        below = kept.bit_count() - rest.bit_count()
+        runs.append((run, low.bit_length() - 1 - below))
+        rest ^= run
+    out = []
+    for m in masks:
+        c = 0
+        for run, shift in runs:
+            c |= (m & run) >> shift
+        out.append(c)
     return out
 
 
@@ -607,16 +632,10 @@ class Matroid:
     def restrict(self, subset: ElemSet) -> "Matroid":
         """Matroid on the subset whose circuits are those contained in it."""
         self._own(subset)
-        sub_labels = subset.labels()
-        new_ground = GroundSet(sub_labels)
-        index_map = {
-            old: new for new, old in enumerate(bit_indices(subset.mask))
-        }
-        masks = [
-            compress_mask(m, index_map)
-            for m in self._masks
-            if m & ~subset.mask == 0
-        ]
+        new_ground = GroundSet(subset.labels())
+        masks = compress_masks(
+            (m for m in self._masks if m & ~subset.mask == 0), subset.mask
+        )
         return Matroid(new_ground, masks, validate=False)
 
     def is_uniform(self, n: int, k: int) -> bool:

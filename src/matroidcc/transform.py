@@ -15,7 +15,7 @@ from .core import (
     ElemSet,
     GroundSet,
     Matroid,
-    compress_mask,
+    compress_masks,
     contains_smaller_member,
     dependence_test,
 )
@@ -82,12 +82,6 @@ def cocircuits(m: Matroid) -> CircuitFamily:
     return dual(m).circuits
 
 
-def _survivor_ground(m: Matroid, removed_mask: int) -> tuple[GroundSet, dict[int, int]]:
-    kept = [i for i in range(m.size) if not (removed_mask >> i) & 1]
-    ground = GroundSet(m.ground.labels[i] for i in kept)
-    return ground, {old: new for new, old in enumerate(kept)}
-
-
 def delete(m: Matroid, removed: ElemSet) -> Matroid:
     """Deletion: keep exactly the circuits avoiding the removed set."""
     if removed.ground != m.ground:
@@ -107,9 +101,8 @@ def contract(m: Matroid, removed: ElemSet) -> Matroid:
     reduced = {c & keep for c in m.circuits.masks if c & keep}
     dependent = dependence_test(m.size, reduced)
     minimal = [c for c in reduced if not contains_smaller_member(dependent, c)]
-    ground, index_map = _survivor_ground(m, removed.mask)
-    masks = [compress_mask(c, index_map) for c in minimal]
-    return Matroid(ground, masks, validate=False)
+    kept = removed.complement()
+    return Matroid(GroundSet(kept.labels()), compress_masks(minimal, kept.mask), validate=False)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:

@@ -1,8 +1,31 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from matroidcc import analyze, cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench_module(name: str):
+    """``bench/<name>.py``, loaded by path (``bench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def bench_inputs():
+    return _load_bench_module("inputs")
+
+
+@pytest.fixture(scope="session")
+def bench_tracer():
+    return _load_bench_module("tracer")
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,14 @@
 
 Every routine here is a second route to the answer: subset enumeration
 against rank formulas, union-find on graphs, xor structure for the Fano
-plane.  None of them share code with the package's production paths.  The
-one exception is ``validate_circuit_axioms_scan``, the package's former
-circuit-axiom validator kept verbatim as the reference for the
-dependency-table version; it shares only the report and family types, and
-imports them when called, so that this module loads without the package
-on the import path.
+plane.  None of them share code with the package's production paths.
+Three are the package's former versions, kept as references for the
+faster ones that replaced them: ``validate_circuit_axioms_scan`` for the
+dependency-table validator, and ``mask_sort_key`` and ``compress_mask``
+for the bit-reversal key and the run-shifting re-indexing in ``core``.
+The validator shares only the report and family types, and imports them
+when called, so that this module loads without the package on the import
+path.
 """
 
 from __future__ import annotations
@@ -31,6 +33,27 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def indices_of(mask: int) -> Iterator[int]:
+    """The elements of a mask in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical comparison key: cardinality, then lex on ascending indices."""
+    return (mask.bit_count(), tuple(indices_of(mask)))
+
+
+def compress_mask(mask: int, index_map: dict[int, int]) -> int:
+    """Re-express a mask through an old-index -> new-index table."""
+    out = 0
+    for i in indices_of(mask):
+        out |= 1 << index_map[i]
+    return out
 
 
 def brute_rank(matroid, subset_mask: int) -> int:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matroidcc as mc
-from matroidcc import cli
+from matroidcc import cli, construct
 
 
 def write(tmp_path, name: str, doc: dict) -> str:
@@ -120,6 +120,35 @@ def test_round_trip_preserves_canonical_circuits(tmp_path):
         assert back == m
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(json_values)
+def test_dump_writes_what_the_indented_standard_encoder_writes(value):
+    assert cli._indented(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_dump_matches_the_standard_encoder_on_catalog_documents(catalog_dir, tmp_path, capsys):
+    def standard(doc):
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    for _, doc in cli.catalog_documents(seed=1):
+        assert cli._dump(doc) == standard(doc)
+    paths = sorted(str(p) for p in catalog_dir.glob("*.json"))
+    out = tmp_path / "timed.json"
+    assert cli.main(["verify", *paths, "--json", str(out), "--timings"]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert any(isinstance(e["ms"], float) for e in report["entries"])
+    assert cli._dump(report) == standard(report)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -226,6 +255,33 @@ def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content,
     assert rc == 2
     assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+LONE = "\ud800"
+
+
+@pytest.mark.parametrize(
+    "command", [["verify"], ["inspect", "--circuits"]], ids=["verify", "inspect"]
+)
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**FANO_DOC, "labels": [LONE] + FANO_DOC["labels"][1:]}, "labels must be"),
+        ({**FANO_DOC, "name": LONE}, "name must be"),
+        ({**U32_DOC, "ground": [LONE, "b", "c"], "circuits": [[LONE, "b", "c"]]},
+         "ground must be"),
+        ({**K4_DOC, "edges": [[0, 1, LONE]] + K4_DOC["edges"][1:]}, "edges must be"),
+    ],
+    ids=["matrix-label", "name", "circuits-label", "graph-label"],
+)
+def test_lone_surrogates_are_refused_with_one_line(tmp_path, capsys, command, doc, message):
+    # json.dumps writes the lone surrogate as the escape \ud800.
+    path = write(tmp_path, "lone.json", doc)
+    rc = cli.main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err and "without lone surrogates" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_exit_code_mapping():
@@ -358,40 +414,46 @@ def test_verify_timings_flag_adds_ms(tmp_path, capsys):
 # Reports pinned by the benchmark
 # ---------------------------------------------------------------------------
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def bench_inputs():
-    """``bench/inputs.py``, loaded by path (``bench`` is not a package)."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def verify_json(paths, out) -> bytes:
     assert cli.main(["verify", *map(str, paths), "--json", str(out)]) == 0
     return out.read_bytes()
 
 
-def test_catalog_report_matches_pinned_hash(catalog_dir, tmp_path, capsys):
+def test_catalog_report_matches_pinned_hash(catalog_dir, bench_inputs, tmp_path, capsys):
     # catalog_dir is the seed-1 catalog, pinned in slot 1.
-    inputs = bench_inputs()
-    pinned = inputs.load_pinned("catalog")["slots"][inputs.slot_of(1)]
+    pinned = bench_inputs.load_pinned("catalog")["slots"][bench_inputs.slot_of(1)]
     report = verify_json(sorted(catalog_dir.glob("*.json")), tmp_path / "report.json")
     capsys.readouterr()
     assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
 
 
-def test_scale_report_matches_pinned_hash(tmp_path, capsys):
-    inputs = bench_inputs()
-    pinned = inputs.load_pinned("scale")["slots"][inputs.slot_of(1)]
-    inputs.write_documents(inputs.documents("scale", pinned["instances"]), tmp_path / "in")
-    report = verify_json(sorted((tmp_path / "in").glob("*.json")), tmp_path / "report.json")
-    capsys.readouterr()
-    assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
-    chains = {
-        entry["name"]: [c["k"] for c in entry["conjecture"]]
-        for entry in json.loads(report)["entries"]
-    }
-    assert chains == {"gf5_14_7": [4, 5, 6], "k6": [4, 6], "u11_5": [4, 5, 6]}
+def test_scale_report_matches_pinned_hash(bench_inputs, tmp_path, capsys):
+    for seed in (1, 2, 3):
+        pinned = bench_inputs.load_pinned("scale")["slots"][bench_inputs.slot_of(seed)]
+        docs = bench_inputs.documents("scale", pinned["instances"])
+        bench_inputs.write_documents(docs, tmp_path / f"in{seed}")
+        report = verify_json(
+            sorted((tmp_path / f"in{seed}").glob("*.json")), tmp_path / f"report{seed}.json"
+        )
+        capsys.readouterr()
+        assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"], seed
+        chains = {
+            entry["name"]: [c["k"] for c in entry["conjecture"]]
+            for entry in json.loads(report)["entries"]
+        }
+        # Every k = 4, 5, 6 that the oracle verdict achieves runs its chain.
+        assert chains == {
+            name: [k for k in (4, 5, 6) if k in file["verdict"]["achieved"]]
+            for name, file in pinned["files"].items()
+        }, seed
+        if seed == 1:
+            assert chains == {"gf5_14_7": [4, 5, 6], "k6": [4, 6], "u11_5": [4, 5, 6]}
+
+
+def test_tracer_finds_every_planned_function(bench_tracer):
+    tracer = bench_tracer.Tracer()
+    original = construct.gf_rank
+    with tracer.installed():
+        assert tracer.missing == []
+        assert construct.gf_rank is not original
+    assert construct.gf_rank is original

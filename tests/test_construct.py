@@ -94,13 +94,65 @@ def test_from_matrix_rank_matches_row_reduction():
             assert m.rank() == oracles.gf_rank_oracle(matrix.columns, p)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3, 5]), rows=st.integers(1, 4), n=st.integers(1, 8))
+@st.composite
+def columns_with_loops_and_parallels(draw, p: int, rows: int, n: int):
+    """n columns of length rows over GF(p): random ones, zero columns, and
+    nonzero multiples of an earlier column."""
+    columns: list[tuple[int, ...]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "parallel"]))
+        if kind == "zero":
+            columns.append((0,) * rows)
+        elif kind == "parallel" and columns:
+            base = draw(st.sampled_from(columns))
+            c = draw(st.integers(min_value=1, max_value=p - 1))
+            columns.append(tuple(c * x % p for x in base))
+        else:
+            columns.append(draw(st.tuples(*[st.integers(0, p - 1)] * rows)))
+    return columns
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    data=st.data(), p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(0, 5), n=st.integers(1, 10)
+)
 def test_from_matrix_circuits_match_enumeration_oracle_on_random_matrices(data, p, rows, n):
-    entry = st.integers(min_value=0, max_value=p - 1)
-    columns = data.draw(st.lists(st.tuples(*[entry] * rows), min_size=n, max_size=n))
+    columns = data.draw(columns_with_loops_and_parallels(p, rows, n))
     m = mc.from_matrix(MatrixOverGF(p, rows, tuple(columns)))
     assert sorted(m.circuits.masks) == oracles.linear_circuit_masks(columns, p)
+    assert m.rank() == oracles.gf_rank_oracle(columns, p)
+
+
+def test_from_matrix_without_rows_makes_every_column_a_loop():
+    for p in mc.construct.FIELD_SIZES:
+        m = mc.from_matrix(MatrixOverGF(p, 0, ((),) * 5))
+        assert m.circuits.masks == tuple(1 << i for i in range(5))
+        assert m.rank() == 0
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), width=st.integers(0, 6))
+def test_gf_rank_matches_row_reduction_oracle(data, p, width):
+    # Entries are not reduced mod p: gf_rank reduces them itself.
+    vector = st.lists(st.integers(-20, 20), min_size=width, max_size=width)
+    vectors = data.draw(st.lists(vector, max_size=8))
+    assert mc.construct.gf_rank(vectors, p) == oracles.gf_rank_oracle(vectors, p)
+
+
+def test_from_matrix_gives_the_pinned_circuit_count_of_every_scale_set(bench_inputs):
+    n, r, p = bench_inputs.SEEDED_MATRICES["scale"]["gf5_14_7"]
+    for slot in bench_inputs.load_pinned("scale")["slots"]:
+        matrix = mc.random_matrix(slot["instances"]["gf5_14_7"], n, r, p)
+        want = slot["files"]["gf5_14_7"]["verdict"]["circuits"]
+        assert len(mc.from_matrix(matrix).circuits) == want, slot["slot"]
+
+
+def test_from_matrix_matches_oracle_on_the_scale_matrix(bench_inputs):
+    n, r, p = bench_inputs.SEEDED_MATRICES["scale"]["gf5_14_7"]
+    slot = bench_inputs.load_pinned("scale")["slots"][bench_inputs.slot_of(1)]
+    matrix = mc.random_matrix(slot["instances"]["gf5_14_7"], n, r, p)
+    m = mc.from_matrix(matrix)
+    assert sorted(m.circuits.masks) == oracles.linear_circuit_masks(matrix.columns, p)
 
 
 def test_matrix_field_must_be_small_prime():

@@ -109,6 +109,57 @@ def test_matroid_constructor_rejects_bad_family():
 
 
 # ---------------------------------------------------------------------------
+# Canonical order and re-indexing against their former versions
+# ---------------------------------------------------------------------------
+
+
+def test_mask_sort_key_orders_like_index_tuples_exhaustively():
+    for n in range(11):
+        masks = list(range(1 << n))
+        random.Random(n).shuffle(masks)
+        assert sorted(masks, key=mc.core.mask_sort_key) == sorted(
+            masks, key=oracles.mask_sort_key
+        )
+
+
+def test_mask_sort_key_orders_like_index_tuples_on_wide_masks():
+    rng = random.Random(20)
+    for bits in (20, 64):
+        masks = [rng.getrandbits(bits) for _ in range(4000)]
+        # Same-size masks that differ only high up, and only low down.
+        masks += [m ^ (1 << (bits - 1)) for m in masks[:200]]
+        masks += [m ^ 3 for m in masks[:200]]
+        assert sorted(masks, key=mc.core.mask_sort_key) == sorted(
+            masks, key=oracles.mask_sort_key
+        )
+
+
+def _index_map(kept: int) -> dict[int, int]:
+    return {old: new for new, old in enumerate(oracles.indices_of(kept))}
+
+
+def test_compress_masks_matches_index_map_exhaustively():
+    for n in range(11):
+        for kept in range(1 << n):
+            inside = list(oracles.submasks(kept))
+            index_map = _index_map(kept)
+            assert mc.core.compress_masks(inside, kept) == [
+                oracles.compress_mask(m, index_map) for m in inside
+            ]
+
+
+def test_compress_masks_matches_index_map_on_random_20_bit_masks():
+    rng = random.Random(7)
+    for _ in range(300):
+        kept = rng.getrandbits(20)
+        masks = [rng.getrandbits(20) & kept for _ in range(30)]
+        index_map = _index_map(kept)
+        assert mc.core.compress_masks(masks, kept) == [
+            oracles.compress_mask(m, index_map) for m in masks
+        ]
+
+
+# ---------------------------------------------------------------------------
 # Dependency table and validation against the scan oracle
 # ---------------------------------------------------------------------------
 
