@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
     TheoremViolation,
 )
-from .transform import MinorSpec, cocircuits, contract, delete, dual
+from .transform import MinorSpec, cocircuits, dual, minor
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -184,34 +184,41 @@ _CHOICES_IN_COCIRCUIT = (_DELETE, _CONTRACT, _KEEP)
 
 
 def _search_viable(
-    cur: Matroid, x_mask: int, k: int, removals_left: int
+    m: Matroid, deleted: int, contracted: int, x_mask: int, k: int, removals_left: int
 ) -> bool:
-    """Cheap necessary conditions for the current minor to still reach a
-    state where X is a circuit and a cocircuit with rank and corank k - 1.
+    """Cheap necessary conditions for the minor M\\D/C (D = ``deleted``,
+    C = ``contracted``, masks over ``m``) to still reach a state where X is
+    a circuit and a cocircuit with rank and corank k - 1.
 
-    All four tests are monotone: once false on a state they are false on
+    Ranks come from the parent: r_{M\\D/C}(S) = r_M(S | C) - r_M(C) for S
+    avoiding D and C (Oxley, Matroid Theory, Prop. 3.1.6), so no minor is
+    built.  Every test is monotone: once false on a state it is false on
     every minor of it that keeps X, so pruning is sound.
     """
-    r_cur = cur.rank()
-    co_cur = cur.size - r_cur
+    r_con = m._greedy_basis_mask(contracted).bit_count()
+
+    def rank(s: int) -> int:
+        return m._greedy_basis_mask(s | contracted).bit_count() - r_con
+
+    ground = m.ground.full_mask & ~(deleted | contracted)
+    r_cur = rank(ground)
+    co_cur = ground.bit_count() - r_cur
     # Each removal changes rank (resp. corank) by at most one, downwards.
     if not (r_cur - removals_left <= k - 1 <= r_cur):
         return False
     if not (co_cur - removals_left <= k - 1 <= co_cur):
         return False
-    full = cur.ground.full_mask
-    rest = full & ~x_mask
-    # X must be able to become dependent: contracting everything outside X
-    # realizes the minimum achievable rank of X.
-    if cur.rank() - cur.rank(ElemSet(cur.ground, rest)) == k:
-        return False
+    rest = ground & ~x_mask
     # No circuit and no cocircuit may sit strictly inside X; both survive
-    # every further operation on non-X elements.
+    # every further operation on non-X elements.  The cocircuit test also
+    # keeps X able to become dependent: if contracting everything outside
+    # X left X independent, r(rest) = r_cur - k and no x would bring
+    # rest + x up to r_cur.
     for xi in bit_indices(x_mask):
-        sub = x_mask & ~(1 << xi)
-        if cur._dependent_mask(sub):
+        bit = 1 << xi
+        if rank(x_mask & ~bit) < k - 1:
             return False
-        if cur.rank(ElemSet(cur.ground, rest | (1 << xi))) < r_cur:
+        if rank(rest | bit) < r_cur:
             return False
     return True
 
@@ -224,8 +231,11 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
     elements one at a time in canonical order grouped by class (circuit
     side first, then elements outside both, then the cocircuit side), with
     class-specific action preferences; prune states that provably cannot
-    reach the target; verify the full invariant list on every complete
-    state and return the first that passes.
+    reach the target.  A state is the pair of deleted and contracted masks
+    over ``m``, and pruning asks ``m`` for ranks; only a complete state is
+    built as a minor, its full invariant list verified, and the first that
+    passes returned.  The last removal fixes the position of a complete
+    state, so each is reached at most once.
     """
     if circuit not in m.circuits:
         raise PreconditionViolated("first argument is not a circuit")
@@ -243,87 +253,50 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
         raise TheoremViolation("ground set smaller than rank + corank bound")
 
     outside_both = (circuit | cocircuit).complement()
-    order: list[tuple[str, tuple[str, str, str]]] = []
-    for label in (circuit - x).labels():
-        order.append((label, _CHOICES_IN_CIRCUIT))
-    for label in outside_both.labels():
-        order.append((label, _CHOICES_OUTSIDE))
-    for label in (cocircuit - x).labels():
-        order.append((label, _CHOICES_IN_COCIRCUIT))
+    order = (
+        [(1 << i, _CHOICES_IN_CIRCUIT) for i in (circuit - x).indices()]
+        + [(1 << i, _CHOICES_OUTSIDE) for i in outside_both.indices()]
+        + [(1 << i, _CHOICES_IN_COCIRCUIT) for i in (cocircuit - x).indices()]
+    )
     keeps = len(order) - removals
-
-    x_labels = x.labels()
-    seen: set[tuple[int, int]] = set()
     states_examined = 0
 
-    def verify(
-        cur: Matroid, del_labels: tuple[str, ...], con_labels: tuple[str, ...]
-    ) -> OxleyMinor | None:
+    def verify(deleted: int, contracted: int) -> OxleyMinor | None:
         nonlocal states_examined
-        spec = MinorSpec(m.ground.subset(del_labels), m.ground.subset(con_labels))
-        key = (spec.deleted.mask, spec.contracted.mask)
-        if key in seen:
-            return None
-        seen.add(key)
         states_examined += 1
-        x_n = cur.ground.subset(x_labels)
-        candidate = OxleyMinor(
-            spec=spec, minor=cur, x=x_n, y=x_n.complement(), k=k
-        )
+        spec = MinorSpec(ElemSet(m.ground, deleted), ElemSet(m.ground, contracted))
+        n = minor(m, spec)
+        x_n = x.to_ground(n.ground)
+        candidate = OxleyMinor(spec=spec, minor=n, x=x_n, y=x_n.complement(), k=k)
         if candidate.invariant_failures():
             return None
         return candidate
 
     def dfs(
-        pos: int,
-        cur: Matroid,
-        removals_left: int,
-        keeps_left: int,
-        del_labels: tuple[str, ...],
-        con_labels: tuple[str, ...],
+        pos: int, removals_left: int, keeps_left: int, deleted: int, contracted: int
     ) -> OxleyMinor | None:
-        if not _search_viable(
-            cur, cur.ground.subset(x_labels).mask, k, removals_left
-        ):
+        if not _search_viable(m, deleted, contracted, x.mask, k, removals_left):
             return None
         if removals_left == 0:
-            # Everything still undecided is kept; the minor is already final.
-            return verify(cur, del_labels, con_labels)
-        label, choices = order[pos]
+            # Everything still undecided is kept; the state is complete.
+            return verify(deleted, contracted)
+        bit, choices = order[pos]
         for choice in choices:
             if choice == _KEEP:
                 if keeps_left == 0:
                     continue
-                found = dfs(
-                    pos + 1, cur, removals_left, keeps_left - 1, del_labels, con_labels
-                )
+                found = dfs(pos + 1, removals_left, keeps_left - 1, deleted, contracted)
+            elif choice == _DELETE:
+                found = dfs(pos + 1, removals_left - 1, keeps_left, deleted | bit, contracted)
             else:
-                single = cur.ground.singleton(label)
-                if choice == _DELETE:
-                    found = dfs(
-                        pos + 1,
-                        delete(cur, single),
-                        removals_left - 1,
-                        keeps_left,
-                        del_labels + (label,),
-                        con_labels,
-                    )
-                else:
-                    found = dfs(
-                        pos + 1,
-                        contract(cur, single),
-                        removals_left - 1,
-                        keeps_left,
-                        del_labels,
-                        con_labels + (label,),
-                    )
+                found = dfs(pos + 1, removals_left - 1, keeps_left, deleted, contracted | bit)
             if found is not None:
                 return found
         return None
 
     if keeps < 0:
         raise TheoremViolation("more removals required than elements available")
-    result = dfs(0, m, removals, keeps, (), ())
+    result = dfs(0, removals, keeps, 0, 0)
     if result is None:
         raise ExtractionFailed(
             f"no minor of {m!r} realizes X={x!r} as circuit and cocircuit "

@@ -390,19 +390,3 @@ def random_linear(seed: int, n: int, r: int, p: int) -> Matroid:
     matrix = random_matrix(seed, n, r, p)
     return from_matrix(matrix, name=f"rand_s{seed}_n{n}_r{r}_p{p}")
 
-
-def graph_components(graph: GraphSpec) -> int:
-    """Connected components of the graph (isolated vertices count)."""
-    parent = list(range(graph.vertex_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v, _ in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(x) for x in range(graph.vertex_count)})

@@ -2,14 +2,18 @@
 
 Every routine here is a second route to the answer: subset enumeration
 against rank formulas, union-find on graphs, xor structure for the Fano
-plane.  None of them share code with the package's production paths.
-Three are the package's former versions, kept as references for the
-faster ones that replaced them: ``validate_circuit_axioms_scan`` for the
-dependency-table validator, and ``mask_sort_key`` and ``compress_mask``
-for the bit-reversal key and the run-shifting re-indexing in ``core``.
-The validator shares only the report and family types, and imports them
-when called, so that this module loads without the package on the import
-path.
+plane.  None of them share code with the package's production paths,
+except as said below.  Four are the package's former versions, kept as
+references for the faster ones that replaced them:
+``validate_circuit_axioms_scan`` for the dependency-table validator,
+``mask_sort_key`` and ``compress_mask`` for the bit-reversal key and the
+run-shifting re-indexing in ``core``, and ``oxley_minor_by_minors`` for
+the extraction that prunes on the parent's ranks.  The validator shares
+only the report and family types; the extraction search builds its
+minors with the package's ``delete`` and ``contract`` and checks them
+with ``OxleyMinor.invariant_failures``, so it is a reference for the
+search alone.  Both import from the package when called, so that this
+module loads without the package on the import path.
 """
 
 from __future__ import annotations
@@ -296,3 +300,96 @@ def contraction_circuit_masks(
             if ranks[whole] - ranks[removed] < size:
                 found.append(s)
     return sorted(found)
+
+
+# The extraction's branch preferences per element class: contract what the
+# circuit loses, delete what neither side uses, delete what the cocircuit
+# loses.
+_CONTRACT, _DELETE, _KEEP = "contract", "delete", "keep"
+_CHOICES_IN_CIRCUIT = (_CONTRACT, _DELETE, _KEEP)
+_CHOICES_OUTSIDE = (_DELETE, _KEEP, _CONTRACT)
+_CHOICES_IN_COCIRCUIT = (_DELETE, _CONTRACT, _KEEP)
+
+
+def search_viable_by_minors(cur, x_mask: int, k: int, removals_left: int) -> bool:
+    """The former extraction's pruning tests, asked of the built minor
+    ``cur`` (``x_mask`` is over cur's ground set).  The third, that X can
+    still become dependent, is implied by the cocircuit test; the package
+    no longer runs it."""
+    r_cur = cur.rank()
+    co_cur = cur.size - r_cur
+    if not (r_cur - removals_left <= k - 1 <= r_cur):
+        return False
+    if not (co_cur - removals_left <= k - 1 <= co_cur):
+        return False
+    rest = cur.ground.full_mask & ~x_mask
+    if cur.rank() - cur.rank(cur.ground.from_mask(rest)) == k:
+        return False
+    for xi in indices_of(x_mask):
+        if cur._dependent_mask(x_mask & ~(1 << xi)):
+            return False
+        if cur.rank(cur.ground.from_mask(rest | (1 << xi))) < r_cur:
+            return False
+    return True
+
+
+def oxley_minor_by_minors(matroid, circuit, cocircuit):
+    """The Oxley-minor search that builds every DFS state as a minor, one
+    deletion or contraction at a time, and prunes on the built minor.
+
+    Same order and preferences as ``analyze.oxley_minor``, with its former
+    pruning tests; returns the first ``OxleyMinor`` whose invariants all
+    hold, or None.  Asserts that no complete state is reached twice.
+    """
+    from matroidcc import MinorSpec, OxleyMinor, contract, delete
+
+    x = circuit & cocircuit
+    k = len(x)
+    removals = matroid.size - (2 * k - 2)
+    outside_both = (circuit | cocircuit).complement()
+    order = (
+        [(label, _CHOICES_IN_CIRCUIT) for label in (circuit - x).labels()]
+        + [(label, _CHOICES_OUTSIDE) for label in outside_both.labels()]
+        + [(label, _CHOICES_IN_COCIRCUIT) for label in (cocircuit - x).labels()]
+    )
+    x_labels = x.labels()
+    seen: set[tuple[int, int]] = set()
+
+    def verify(cur, del_labels, con_labels):
+        g = matroid.ground
+        spec = MinorSpec(g.subset(del_labels), g.subset(con_labels))
+        key = (spec.deleted.mask, spec.contracted.mask)
+        assert key not in seen, key
+        seen.add(key)
+        x_n = cur.ground.subset(x_labels)
+        candidate = OxleyMinor(spec=spec, minor=cur, x=x_n, y=x_n.complement(), k=k)
+        return None if candidate.invariant_failures() else candidate
+
+    def dfs(pos, cur, removals_left, keeps_left, del_labels, con_labels):
+        if not search_viable_by_minors(
+            cur, cur.ground.subset(x_labels).mask, k, removals_left
+        ):
+            return None
+        if removals_left == 0:
+            return verify(cur, del_labels, con_labels)
+        label, choices = order[pos]
+        for choice in choices:
+            if choice == _KEEP:
+                if keeps_left == 0:
+                    continue
+                found = dfs(pos + 1, cur, removals_left, keeps_left - 1, del_labels, con_labels)
+            elif choice == _DELETE:
+                found = dfs(
+                    pos + 1, delete(cur, cur.ground.singleton(label)), removals_left - 1,
+                    keeps_left, del_labels + (label,), con_labels,
+                )
+            else:
+                found = dfs(
+                    pos + 1, contract(cur, cur.ground.singleton(label)), removals_left - 1,
+                    keeps_left, del_labels, con_labels + (label,),
+                )
+            if found is not None:
+                return found
+        return None
+
+    return dfs(0, matroid, removals, len(order) - removals, (), ())

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import matroidcc as mc
+from matroidcc import analyze, cli
 from matroidcc import (
     MinorSpec,
     achieved_sizes,
@@ -22,6 +27,8 @@ from matroidcc import (
     witness_k5,
     witness_k6,
 )
+
+import oracles
 
 
 def first_pair(m: mc.Matroid, k: int) -> mc.CCIntersection:
@@ -125,16 +132,79 @@ def test_extraction_across_named_matroids(name, k):
     assert ox.minor.size == 2 * k - 2
 
 
+def assert_extraction_matches_the_reference(m: mc.Matroid, k: int) -> None:
+    cc = first_pair(m, k)
+    want = oracles.oxley_minor_by_minors(m, cc.circuit, cc.cocircuit)
+    assert oxley_minor(m, cc.circuit, cc.cocircuit) == want, (m, k)
+
+
 def test_extracted_minors_match_their_spec(catalog, conjecture_reports):
-    # The search builds each minor one removal at a time; applying the
-    # recorded spec in one go must give the same matroid.
+    # The reference search builds every state as a minor, one removal at a
+    # time; the extraction must pick the same spec, and minor(m, spec) must
+    # equal the minor the reference built.
     checked = 0
     for name, m in catalog:
         for entry in conjecture_reports[name].entries:
-            ox = entry.chain.steps[0].minor
-            assert mc.minor(m, ox.spec) == ox.minor, (name, entry.k)
+            cc = first_pair(m, entry.k)
+            want = oracles.oxley_minor_by_minors(m, cc.circuit, cc.cocircuit)
+            assert entry.chain.steps[0].minor == want, (name, entry.k)
             checked += 1
     assert checked == 33
+
+
+def test_scale_extractions_match_the_reference(bench_inputs, tmp_path):
+    pinned = bench_inputs.load_pinned("scale")["slots"][bench_inputs.slot_of(1)]
+    bench_inputs.write_documents(bench_inputs.documents("scale", pinned["instances"]), tmp_path)
+    checked = 0
+    for path in sorted(tmp_path.glob("*.json")):
+        m = cli.parse_matroid(path)
+        for k in (4, 5, 6):
+            if find_intersection_of_size(m, k) is not None:
+                assert_extraction_matches_the_reference(m, k)
+                checked += 1
+    assert checked == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**31), p=st.sampled_from([2, 3]), n=st.integers(8, 10))
+def test_extraction_matches_the_reference_on_random_matrices(data, seed, p, n):
+    # Seeded matrices, not drawn entries: hypothesis favours zeros, whose
+    # loops and parallel columns rarely leave an intersection of size 4.
+    m = mc.random_linear(seed, n, data.draw(st.integers(3, n - 3)), p)
+    sizes = [k for k in achieved_sizes(m) if k >= 4]
+    assume(sizes)
+    for k in sizes:
+        assert_extraction_matches_the_reference(m, k)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [mc.uniform(6, 3), mc.named("fano"), mc.named("k4"), mc.named("nonfano")],
+    ids=["u6_3", "fano", "k4", "nonfano"],
+)
+def test_search_viable_matches_the_minor_reference_on_every_state(m):
+    # Every (deleted, contracted) pair, every X of size >= 4 among the
+    # survivors, and every count of removals the survivors outside X allow.
+    # Of these four, only the non-Fano plane has a state that just the
+    # cocircuit-inside-X test prunes.
+    g = m.ground
+    outcomes = set()
+    for choice in itertools.product((0, 1, 2), repeat=m.size):
+        deleted = oracles.mask_of(i for i, c in enumerate(choice) if c == 1)
+        contracted = oracles.mask_of(i for i, c in enumerate(choice) if c == 2)
+        cur = mc.minor(m, MinorSpec(mc.ElemSet(g, deleted), mc.ElemSet(g, contracted)))
+        kept = g.full_mask & ~(deleted | contracted)
+        for x_mask in oracles.submasks(kept):
+            k = x_mask.bit_count()
+            if k < 4:
+                continue
+            x_cur = mc.ElemSet(g, x_mask).to_ground(cur.ground).mask
+            for removals_left in range(kept.bit_count() - k + 1):
+                got = analyze._search_viable(m, deleted, contracted, x_mask, k, removals_left)
+                want = oracles.search_viable_by_minors(cur, x_cur, k, removals_left)
+                assert got == want, (deleted, contracted, x_mask, removals_left)
+                outcomes.add(got)
+    assert outcomes == {False, True}
 
 
 def test_extraction_preconditions():

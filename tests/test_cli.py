@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -284,6 +286,57 @@ def test_lone_surrogates_are_refused_with_one_line(tmp_path, capsys, command, do
     assert len(captured.err.strip().splitlines()) == 1
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A small well-formed document of one of the three formats, each of
+    whose fields is then kept, dropped or replaced by arbitrary JSON."""
+    fmt = draw(st.sampled_from(["circuits", "matrix", "graph"]))
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text("abcdefg", min_size=1, max_size=2), min_size=n, max_size=n))
+    if fmt == "circuits":
+        circuit = st.lists(st.sampled_from(labels), min_size=1, max_size=n)
+        fields = {"ground": labels, "circuits": draw(st.lists(circuit, max_size=4))}
+    elif fmt == "matrix":
+        row = st.lists(st.integers(-2, 6), min_size=n, max_size=n)
+        fields = {"field": draw(st.sampled_from([2, 3, 5])), "labels": labels,
+                  "rows": draw(st.lists(row, max_size=4))}
+    else:
+        v = draw(st.integers(1, 4))
+        end = st.integers(0, v - 1)
+        fields = {"vertices": v, "edges": [[draw(end), draw(end), lab] for lab in labels]}
+    doc = {"format": fmt, "name": draw(st.text(max_size=3)), **fields}
+    for key in list(doc):
+        action = draw(st.sampled_from(["keep", "keep", "keep", "json", "drop"]))
+        if action == "json":
+            doc[key] = draw(JSON_VALUES)
+        elif action == "drop":
+            del doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=fuzzed_documents())
+def test_verify_ends_with_exit_0_2_or_3_and_one_line_on_any_document(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", str(path)])
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
 def test_exit_code_mapping():
     assert cli._exit_code_for(mc.CapExceeded("x")) == 3
     assert cli._exit_code_for(mc.TheoremViolation("x")) == 1
@@ -427,27 +480,38 @@ def test_catalog_report_matches_pinned_hash(catalog_dir, bench_inputs, tmp_path,
     assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
 
 
+def pinned_chains(bench_inputs, workload, seed, out_dir, capsys) -> dict[str, list[int]]:
+    """Verify one pinned input set, check its report against the pinned
+    sha256, and return the k of each chain per file."""
+    pinned = bench_inputs.load_pinned(workload)["slots"][bench_inputs.slot_of(seed)]
+    bench_inputs.write_documents(bench_inputs.documents(workload, pinned["instances"]), out_dir)
+    report = verify_json(sorted(out_dir.glob("*.json")), out_dir / "report.json")
+    capsys.readouterr()
+    assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"], (workload, seed)
+    chains = {
+        entry["name"]: [c["k"] for c in entry["conjecture"]]
+        for entry in json.loads(report)["entries"]
+    }
+    # Every k = 4, 5, 6 that the oracle verdict achieves runs its chain.
+    assert chains == {
+        name: [k for k in (4, 5, 6) if k in file["verdict"]["achieved"]]
+        for name, file in pinned["files"].items()
+    }, (workload, seed)
+    return chains
+
+
 def test_scale_report_matches_pinned_hash(bench_inputs, tmp_path, capsys):
     for seed in (1, 2, 3):
-        pinned = bench_inputs.load_pinned("scale")["slots"][bench_inputs.slot_of(seed)]
-        docs = bench_inputs.documents("scale", pinned["instances"])
-        bench_inputs.write_documents(docs, tmp_path / f"in{seed}")
-        report = verify_json(
-            sorted((tmp_path / f"in{seed}").glob("*.json")), tmp_path / f"report{seed}.json"
-        )
-        capsys.readouterr()
-        assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"], seed
-        chains = {
-            entry["name"]: [c["k"] for c in entry["conjecture"]]
-            for entry in json.loads(report)["entries"]
-        }
-        # Every k = 4, 5, 6 that the oracle verdict achieves runs its chain.
-        assert chains == {
-            name: [k for k in (4, 5, 6) if k in file["verdict"]["achieved"]]
-            for name, file in pinned["files"].items()
-        }, seed
+        chains = pinned_chains(bench_inputs, "scale", seed, tmp_path / f"in{seed}", capsys)
         if seed == 1:
             assert chains == {"gf5_14_7": [4, 5, 6], "k6": [4, 6], "u11_5": [4, 5, 6]}
+
+
+def test_linear_gf3_report_matches_pinned_hash(bench_inputs, tmp_path, capsys):
+    # 15 GF(3) matrices with n = 12..14: 45 extractions, each file running
+    # its k = 4, 5 and 6 chains.
+    chains = pinned_chains(bench_inputs, "linear_gf3", 1, tmp_path, capsys)
+    assert chains == {f"gf3_{i:02d}": [4, 5, 6] for i in range(15)}
 
 
 def test_tracer_finds_every_planned_function(bench_tracer):
