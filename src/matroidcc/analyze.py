@@ -183,9 +183,7 @@ _CHOICES_OUTSIDE = (_DELETE, _KEEP, _CONTRACT)
 _CHOICES_IN_COCIRCUIT = (_DELETE, _CONTRACT, _KEEP)
 
 
-def _search_viable(
-    m: Matroid, deleted: int, contracted: int, x_mask: int, k: int, removals_left: int
-) -> bool:
+def _search_viable(m: Matroid, deleted: int, contracted: int, x_mask: int, k: int) -> bool:
     """Cheap necessary conditions for the minor M\\D/C (D = ``deleted``,
     C = ``contracted``, masks over ``m``) to still reach a state where X is
     a circuit and a cocircuit with rank and corank k - 1.
@@ -201,12 +199,12 @@ def _search_viable(
         return m._greedy_basis_mask(s | contracted).bit_count() - r_con
 
     ground = m.ground.full_mask & ~(deleted | contracted)
+    removals_left = ground.bit_count() - (2 * k - 2)
     r_cur = rank(ground)
-    co_cur = ground.bit_count() - r_cur
-    # Each removal changes rank (resp. corank) by at most one, downwards.
+    # Each removal lowers the rank by at most one.  The corank window
+    # co_cur - removals_left <= k - 1 <= co_cur is the same test, since
+    # r_cur + co_cur = |E'| = 2k - 2 + removals_left.
     if not (r_cur - removals_left <= k - 1 <= r_cur):
-        return False
-    if not (co_cur - removals_left <= k - 1 <= co_cur):
         return False
     rest = ground & ~x_mask
     # No circuit and no cocircuit may sit strictly inside X; both survive
@@ -231,8 +229,9 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
     elements one at a time in canonical order grouped by class (circuit
     side first, then elements outside both, then the cocircuit side), with
     class-specific action preferences; prune states that provably cannot
-    reach the target.  A state is the pair of deleted and contracted masks
-    over ``m``, and pruning asks ``m`` for ranks; only a complete state is
+    reach the target.  A state is the next position with the deleted and
+    contracted masks over ``m``, which fix the removals and keeps still
+    due, and pruning asks ``m`` for ranks; only a complete state is
     built as a minor, its full invariant list verified, and the first that
     passes returned.  The last removal fixes the position of a complete
     state, so each is reached at most once.
@@ -258,7 +257,6 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
         + [(1 << i, _CHOICES_OUTSIDE) for i in outside_both.indices()]
         + [(1 << i, _CHOICES_IN_COCIRCUIT) for i in (cocircuit - x).indices()]
     )
-    keeps = len(order) - removals
     states_examined = 0
 
     def verify(deleted: int, contracted: int) -> OxleyMinor | None:
@@ -272,31 +270,31 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
             return None
         return candidate
 
-    def dfs(
-        pos: int, removals_left: int, keeps_left: int, deleted: int, contracted: int
-    ) -> OxleyMinor | None:
-        if not _search_viable(m, deleted, contracted, x.mask, k, removals_left):
+    def dfs(pos: int, deleted: int, contracted: int) -> OxleyMinor | None:
+        if not _search_viable(m, deleted, contracted, x.mask, k):
             return None
+        removals_left = removals - (deleted | contracted).bit_count()
         if removals_left == 0:
             # Everything still undecided is kept; the state is complete.
             return verify(deleted, contracted)
+        keeps_left = len(order) - pos - removals_left
         bit, choices = order[pos]
         for choice in choices:
             if choice == _KEEP:
                 if keeps_left == 0:
                     continue
-                found = dfs(pos + 1, removals_left, keeps_left - 1, deleted, contracted)
+                found = dfs(pos + 1, deleted, contracted)
             elif choice == _DELETE:
-                found = dfs(pos + 1, removals_left - 1, keeps_left, deleted | bit, contracted)
+                found = dfs(pos + 1, deleted | bit, contracted)
             else:
-                found = dfs(pos + 1, removals_left - 1, keeps_left, deleted, contracted | bit)
+                found = dfs(pos + 1, deleted, contracted | bit)
             if found is not None:
                 return found
         return None
 
-    if keeps < 0:
+    if len(order) < removals:
         raise TheoremViolation("more removals required than elements available")
-    result = dfs(0, removals, keeps, 0, 0)
+    result = dfs(0, 0, 0)
     if result is None:
         raise ExtractionFailed(
             f"no minor of {m!r} realizes X={x!r} as circuit and cocircuit "

@@ -2,7 +2,8 @@
 generation, and inspection subcommands.
 
 Exit codes: 0 all checks passed, 1 a theory-level assertion failed,
-2 input error, 3 a desk-scale cap was exceeded.
+2 input error or an unwritable output path, 3 a desk-scale cap was
+exceeded.
 """
 
 from __future__ import annotations
@@ -536,6 +537,10 @@ def main(argv: list[str] | None = None) -> int:
     except MatroidError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return _exit_code_for(err)
+    except OSError as err:
+        # An output path that cannot be written is a usage error.
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -3,10 +3,11 @@ named catalog entries, and seeded random linear instances.
 
 A linear matroid's circuits come from a depth-first walk over its
 independent column sets, which extends one echelon basis a column at a
-time (``from_matrix``); a graphic matroid's from a size-ordered scan of
-edge subsets for single cycles (``from_graph``).  All constructors
-validate the resulting circuit family, so anything built here is safe
-input for the rest of the package.
+time (``from_matrix``).  A graphic matroid is the linear matroid of its
+vertex-edge incidence matrix over GF(2), so ``from_graph`` builds that
+matrix and runs the same walk.  All constructors validate the resulting
+circuit family, so anything built here is safe input for the rest of the
+package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid, dependence_test
+from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid
 from .errors import CapExceeded, InvalidParameter, UnknownName
 
 FIELD_SIZES = (2, 3, 5, 7)
@@ -212,38 +213,16 @@ def from_matrix(
     return Matroid(ground, found, name=name)
 
 
-def _is_single_cycle(edges: Sequence[tuple[int, int, str]], chosen: Sequence[int]) -> bool:
-    """True iff the chosen edge subset is one cycle: connected, all degrees 2.
-
-    A loop contributes 2 to its endpoint, so loops and parallel pairs come
-    out as 1- and 2-element cycles.
-    """
-    deg: dict[int, int] = {}
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for idx in chosen:
-        u, v, _ = edges[idx]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    if any(d != 2 for d in deg.values()):
-        return False
-    roots = {find(x) for x in deg}
-    return len(roots) == 1
-
-
 def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
-    """Cycle matroid of a multigraph: circuits are the simple cycles."""
+    """Cycle matroid of a multigraph: circuits are the simple cycles.
+
+    It is the GF(2) linear matroid of the vertex-edge incidence matrix
+    (Oxley, Matroid Theory, §5.1), so this builds that matrix and leaves
+    the walk to ``from_matrix``.  Only vertices that some edge touches get
+    a row, in ascending order, so the vertex count itself costs nothing.
+    A loop's column is zero, a 1-circuit;
+    parallel edges have equal columns, a 2-circuit.
+    """
     m = len(graph.edges)
     if m == 0:
         raise InvalidParameter("graph has no edges")
@@ -251,21 +230,16 @@ def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
         raise CapExceeded(
             f"cycle enumeration needs at most {MAX_SCAN} edges, got {m}"
         )
-    ground = GroundSet(lab for _, _, lab in graph.edges)
-    found: list[int] = []
-    for size in range(1, m + 1):
-        # Circuits of one size cannot nest, so the test of the circuits
-        # found so far holds for the whole level.
-        contains_found = dependence_test(m, found)
-        for combo in itertools.combinations(range(m), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if contains_found(mask):
-                continue
-            if _is_single_cycle(graph.edges, combo):
-                found.append(mask)
-    return Matroid(ground, found, name=name)
+    touched = sorted({end for u, v, _ in graph.edges for end in (u, v)})
+    row_of = {vertex: i for i, vertex in enumerate(touched)}
+    columns = []
+    for u, v, _ in graph.edges:
+        col = [0] * len(touched)
+        col[row_of[u]] ^= 1
+        col[row_of[v]] ^= 1
+        columns.append(tuple(col))
+    matrix = MatrixOverGF(p=2, rows=len(touched), columns=tuple(columns))
+    return from_matrix(matrix, labels=[lab for _, _, lab in graph.edges], name=name)
 
 
 def from_circuits(

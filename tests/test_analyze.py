@@ -179,14 +179,14 @@ def test_extraction_matches_the_reference_on_random_matrices(data, seed, p, n):
 
 @pytest.mark.parametrize(
     "m",
-    [mc.uniform(6, 3), mc.named("fano"), mc.named("k4"), mc.named("nonfano")],
-    ids=["u6_3", "fano", "k4", "nonfano"],
+    [mc.uniform(7, 3), mc.named("fano"), mc.named("k4"), mc.named("nonfano")],
+    ids=["u7_3", "fano", "k4", "nonfano"],
 )
 def test_search_viable_matches_the_minor_reference_on_every_state(m):
-    # Every (deleted, contracted) pair, every X of size >= 4 among the
-    # survivors, and every count of removals the survivors outside X allow.
-    # Of these four, only the non-Fano plane has a state that just the
-    # cocircuit-inside-X test prunes.
+    # Every (deleted, contracted) pair and every X of size >= 4 among the
+    # survivors, at the one count of removals the extraction DFS can reach
+    # there: the survivors beyond 2k - 2.  Of these four, only the non-Fano
+    # plane has a state that just the cocircuit-inside-X test prunes.
     g = m.ground
     outcomes = set()
     for choice in itertools.product((0, 1, 2), repeat=m.size):
@@ -196,14 +196,14 @@ def test_search_viable_matches_the_minor_reference_on_every_state(m):
         kept = g.full_mask & ~(deleted | contracted)
         for x_mask in oracles.submasks(kept):
             k = x_mask.bit_count()
-            if k < 4:
+            removals_left = kept.bit_count() - (2 * k - 2)
+            if k < 4 or removals_left < 0:
                 continue
             x_cur = mc.ElemSet(g, x_mask).to_ground(cur.ground).mask
-            for removals_left in range(kept.bit_count() - k + 1):
-                got = analyze._search_viable(m, deleted, contracted, x_mask, k, removals_left)
-                want = oracles.search_viable_by_minors(cur, x_cur, k, removals_left)
-                assert got == want, (deleted, contracted, x_mask, removals_left)
-                outcomes.add(got)
+            got = analyze._search_viable(m, deleted, contracted, x_mask, k)
+            want = oracles.search_viable_by_minors(cur, x_cur, k, removals_left)
+            assert got == want, (deleted, contracted, x_mask, removals_left)
+            outcomes.add(got)
     assert outcomes == {False, True}
 
 

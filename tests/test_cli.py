@@ -286,7 +286,28 @@ def test_lone_surrogates_are_refused_with_one_line(tmp_path, capsys, command, do
     assert len(captured.err.strip().splitlines()) == 1
 
 
-JSON_VALUES = st.recursive(
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda src, out: ["verify", src, "--json", out],
+        lambda src, out: ["inspect", src, "--dual", "--out", out],
+        lambda src, out: ["catalog", "--out", out],
+    ],
+    ids=["verify-json", "inspect-out", "catalog-out"],
+)
+def test_unwritable_output_paths_exit_two_with_one_line(tmp_path, capsys, command):
+    # A path below a regular file can be neither written nor created.
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    src = write(tmp_path, "fano.json", FANO_DOC)
+    rc = cli.main(command(src, str(plain / "out.json")))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+JSON_VALUES =st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: (
         st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)

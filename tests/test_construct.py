@@ -220,14 +220,34 @@ def test_from_graph_rank_is_vertices_minus_components():
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data(), vertices=st.integers(1, 5))
+@given(data=st.data(), vertices=st.integers(1, 7))
 def test_from_graph_circuits_match_union_find_oracle_on_random_multigraphs(data, vertices):
     # Loops and parallel edges are allowed, so 1- and 2-cycles occur.
     ends = st.integers(min_value=0, max_value=vertices - 1)
-    pairs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=9))
+    pairs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=12))
     edges = tuple((u, v, f"e{i}") for i, (u, v) in enumerate(pairs))
     m = mc.from_graph(GraphSpec(vertices, edges))
     assert sorted(m.circuits.masks) == oracles.graph_circuit_masks(edges)
+
+
+def test_from_graph_gives_rows_only_to_touched_vertices():
+    # One row per vertex would mean 10**12 rows; the edges touch four.
+    top = 10**12 - 4
+    edges = tuple((u + top, v + top, lab) for u, v, lab in K4_EDGES)
+    m = mc.from_graph(GraphSpec(10**12, edges))
+    assert len(m.circuits) == 7 and m.rank() == 3
+    assert sorted(m.circuits.masks) == oracles.graph_circuit_masks(K4_EDGES)
+
+
+def test_from_graph_parallel_class_and_long_cycle():
+    bundle = mc.from_graph(GraphSpec(2, tuple((0, 1, f"p{i}") for i in range(20))))
+    assert sorted(bundle.circuits.masks) == sorted(
+        (1 << i) | (1 << j) for i in range(20) for j in range(i)
+    )
+    assert len(bundle.circuits) == 190 and bundle.rank() == 1
+    cycle = mc.from_graph(GraphSpec(16, tuple((i, (i + 1) % 16, f"c{i}") for i in range(16))))
+    assert cycle.circuits.masks == ((1 << 16) - 1,)
+    assert cycle.rank() == 15
 
 
 def test_graph_spec_validation():
