@@ -200,72 +200,53 @@ def write_matroid(m: Matroid, path: str | Path, name: str | None = None) -> None
 # ---------------------------------------------------------------------------
 
 
+def matrix_doc(matrix: construct.MatrixOverGF, name: str) -> dict:
+    """Matrix-format document with the default labels "1".."n"."""
+    n = len(matrix.columns)
+    return {
+        "format": "matrix",
+        "name": name,
+        "field": matrix.p,
+        "labels": list(construct.default_labels(n)),
+        "rows": [[col[i] for col in matrix.columns] for i in range(matrix.rows)],
+    }
+
+
+def graph_doc(spec: construct.GraphSpec, name: str) -> dict:
+    """Graph-format document listing the spec's edges in order."""
+    return {
+        "format": "graph",
+        "name": name,
+        "vertices": spec.vertex_count,
+        "edges": [[u, v, lab] for u, v, lab in spec.edges],
+    }
+
+
 def catalog_documents(seed: int = 1) -> list[tuple[str, dict]]:
-    """The standard catalog as (filename, document) pairs, seed-stable."""
+    """The standard catalog as (filename, document) pairs, seed-stable.
+    Each named matroid is written from ``construct.named_source``: as its
+    matrix, its graph, or (Vámos) its circuits."""
     out: list[tuple[str, dict]] = []
     for n in range(4, 11):
         for k in range(1, n):
             m = construct.uniform(n, k)
             out.append((f"u{n}_{k}.json", matroid_doc(m, name=f"u{n}_{k}")))
-
-    def graph_doc(spec: construct.GraphSpec, name: str) -> dict:
-        return {
-            "format": "graph",
-            "name": name,
-            "vertices": spec.vertex_count,
-            "edges": [[u, v, lab] for u, v, lab in spec.edges],
-        }
-
-    def matrix_doc(matrix: construct.MatrixOverGF, labels: list[str], name: str) -> dict:
-        rows = [
-            [matrix.columns[j][i] for j in range(len(matrix.columns))]
-            for i in range(matrix.rows)
-        ]
-        return {
-            "format": "matrix",
-            "name": name,
-            "field": matrix.p,
-            "labels": labels,
-            "rows": rows,
-        }
-
-    out.append(("k4.json", graph_doc(construct._complete_graph_spec(4), "k4")))
-    out.append(("k5.json", graph_doc(construct._complete_graph_spec(5), "k5")))
-    out.append(("wheel3.json", graph_doc(construct._wheel3_spec(), "wheel3")))
-    out.append(
-        (
-            "fano.json",
-            matrix_doc(
-                construct.MatrixOverGF(p=2, rows=3, columns=construct._binary_columns(3, 7)),
-                [str(i) for i in range(1, 8)],
-                "fano",
-            ),
-        )
-    )
-    out.append(
-        (
-            "nonfano.json",
-            matrix_doc(
-                construct.MatrixOverGF(p=3, rows=3, columns=construct._binary_columns(3, 7)),
-                [str(i) for i in range(1, 8)],
-                "nonfano",
-            ),
-        )
-    )
-    out.append(("vamos.json", matroid_doc(construct.named("vamos"), "vamos")))
+    for name in construct.NAMED_CATALOG:
+        source = construct.named_source(name)
+        if isinstance(source, construct.MatrixOverGF):
+            doc = matrix_doc(source, name)
+        elif isinstance(source, construct.GraphSpec):
+            doc = graph_doc(source, name)
+        else:
+            doc = matroid_doc(construct.named(name), name)
+        out.append((f"{name}.json", doc))
     for i in range(DEFAULT_RANDOM_COUNT):
         p = 2 if i % 2 == 0 else 3
         n = 6 + (i % 4)
         r = 2 + ((i // 2) % 3)
-        inst_seed = seed * 1000 + i
-        matrix = construct.random_matrix(inst_seed, n, r, p)
         name = f"rand{i:02d}"
-        out.append(
-            (
-                f"{name}.json",
-                matrix_doc(matrix, [str(j) for j in range(1, n + 1)], name),
-            )
-        )
+        matrix = construct.random_matrix(seed * 1000 + i, n, r, p)
+        out.append((f"{name}.json", matrix_doc(matrix, name)))
     return out
 
 
@@ -375,6 +356,11 @@ def report_text(report: analyze.ConjectureReport, ms: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.json:
+        # An unwritable report path fails before any input is read.  Append
+        # mode creates the file but never truncates it, so the path may also
+        # name an input.
+        open(args.json, "a", encoding="utf-8").close()
     entries = []
     first_error: tuple[str, MatroidError] | None = None
     for path in sorted(str(p) for p in args.paths):

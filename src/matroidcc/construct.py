@@ -5,9 +5,11 @@ A linear matroid's circuits come from a depth-first walk over its
 independent column sets, which extends one echelon basis a column at a
 time (``from_matrix``).  A graphic matroid is the linear matroid of its
 vertex-edge incidence matrix over GF(2), so ``from_graph`` builds that
-matrix and runs the same walk.  All constructors validate the resulting
-circuit family, so anything built here is safe input for the rest of the
-package.
+matrix and runs the same walk.  Each named matroid is defined once, by
+``named_source`` (a matrix, a graph, or None for the non-representable
+Vámos matroid): ``named`` builds from it and ``matroidcc catalog`` writes
+it out.  All constructors validate the resulting circuit family, so
+anything built here is safe input for the rest of the package.
 """
 
 from __future__ import annotations
@@ -252,33 +254,47 @@ def from_circuits(
     return Matroid(ground, [ground.subset(c) for c in circuits], name=name)
 
 
-def _complete_graph_spec(v: int) -> GraphSpec:
-    edges = tuple(
-        (a, b, f"e{a + 1}{b + 1}")
-        for a, b in itertools.combinations(range(v), 2)
-    )
-    return GraphSpec(vertex_count=v, edges=edges)
+NAMED_CATALOG = ("fano", "nonfano", "k4", "k5", "wheel3", "vamos")
+
+# The seven nonzero vectors of GF(2)^3: the binary expansions of 1..7, most
+# significant bit first.
+_PLANE_COLUMNS = tuple(
+    tuple((value >> shift) & 1 for shift in (2, 1, 0)) for value in range(1, 8)
+)
 
 
-def _wheel3_spec() -> GraphSpec:
-    # Hub 0 with spokes to the rim triangle 1-2-3.
-    edges = (
-        (0, 1, "s1"),
-        (0, 2, "s2"),
-        (0, 3, "s3"),
-        (1, 2, "r12"),
-        (2, 3, "r23"),
-        (1, 3, "r13"),
-    )
-    return GraphSpec(vertex_count=4, edges=edges)
-
-
-def _binary_columns(n_bits: int, count: int) -> tuple[tuple[int, ...], ...]:
-    # Columns are the binary expansions of 1..count, most significant bit first.
-    return tuple(
-        tuple((value >> (n_bits - 1 - i)) & 1 for i in range(n_bits))
-        for value in range(1, count + 1)
-    )
+def named_source(name: str) -> MatrixOverGF | GraphSpec | None:
+    """The one definition of a catalog matroid: its matrix (fano, nonfano),
+    its graph (k4, k5, wheel3), or None for vamos, which no matrix over any
+    field realizes.  ``named`` builds from it and the CLI's catalog writes
+    it out."""
+    key = name.lower()
+    if key == "fano":
+        return MatrixOverGF(p=2, rows=3, columns=_PLANE_COLUMNS)
+    if key == "nonfano":
+        # Same seven 0/1 columns read over GF(3): the three "diagonal" points
+        # become independent and one line of the plane disappears.
+        return MatrixOverGF(p=3, rows=3, columns=_PLANE_COLUMNS)
+    if key in ("k4", "k5"):
+        v = int(key[1])
+        edges = tuple(
+            (a, b, f"e{a + 1}{b + 1}") for a, b in itertools.combinations(range(v), 2)
+        )
+        return GraphSpec(vertex_count=v, edges=edges)
+    if key == "wheel3":
+        # Hub 0 with spokes to the rim triangle 1-2-3.
+        edges = (
+            (0, 1, "s1"),
+            (0, 2, "s2"),
+            (0, 3, "s3"),
+            (1, 2, "r12"),
+            (2, 3, "r23"),
+            (1, 3, "r13"),
+        )
+        return GraphSpec(vertex_count=4, edges=edges)
+    if key == "vamos":
+        return None
+    raise UnknownName(f"no catalog matroid named {name!r}")
 
 
 def _vamos() -> Matroid:
@@ -304,31 +320,18 @@ def _vamos() -> Matroid:
 
 
 def named(name: str) -> Matroid:
-    """A standard matroid by name.
+    """A standard matroid by name, built from ``named_source``.
 
     Known names: fano, nonfano, k4, k5, wheel3, vamos.
     """
+    source = named_source(name)
     key = name.lower()
-    if key == "fano":
-        matrix = MatrixOverGF(p=2, rows=3, columns=_binary_columns(3, 7))
-        return from_matrix(matrix, name="fano")
-    if key == "nonfano":
-        # Same seven 0/1 columns read over GF(3): the three "diagonal" points
-        # become independent and one line of the plane disappears.
-        matrix = MatrixOverGF(p=3, rows=3, columns=_binary_columns(3, 7))
-        return from_matrix(matrix, name="nonfano")
-    if key == "k4":
-        return from_graph(_complete_graph_spec(4), name="k4")
-    if key == "k5":
-        return from_graph(_complete_graph_spec(5), name="k5")
-    if key == "wheel3":
-        return from_graph(_wheel3_spec(), name="wheel3")
-    if key == "vamos":
-        return _vamos()
-    raise UnknownName(f"no catalog matroid named {name!r}")
+    if isinstance(source, MatrixOverGF):
+        return from_matrix(source, name=key)
+    if isinstance(source, GraphSpec):
+        return from_graph(source, name=key)
+    return _vamos()
 
-
-NAMED_CATALOG = ("fano", "nonfano", "k4", "k5", "wheel3", "vamos")
 
 # 64-bit linear congruential generator (Knuth's MMIX multiplier/increment).
 # Each matrix entry consumes one step, column-major; the drawn value is the
@@ -350,8 +353,8 @@ def lcg_stream(seed: int) -> Iterator[int]:
 def random_matrix(seed: int, n: int, r: int, p: int) -> MatrixOverGF:
     """Seed-stable random r x n matrix over GF(p), entries column-major."""
     _check_field(p)
-    if not (0 <= r <= n <= 14):
-        raise InvalidParameter("random instances need 0 <= r <= n <= 14")
+    if not (0 <= r <= n <= MAX_SCAN):
+        raise InvalidParameter(f"random instances need 0 <= r <= n <= {MAX_SCAN}")
     stream = lcg_stream(seed)
     columns = tuple(
         tuple(next(stream) % p for _ in range(r)) for _ in range(n)

@@ -491,7 +491,6 @@ class Matroid:
         "_dependent_mask",
         "_rank_full",
         "_dual_cache",
-        "_hyperplane_cache",
     )
 
     def __init__(
@@ -523,7 +522,6 @@ class Matroid:
         self._masks = fam.masks
         self._sizes = fam.sizes
         self._dual_cache = None
-        self._hyperplane_cache = None
         self._rank_full = self._greedy_basis_mask(ground.full_mask).bit_count()
 
     # -- independence primitives ------------------------------------------
@@ -576,9 +574,6 @@ class Matroid:
         so scanning those closures is exhaustive.  Rank-0 matroids have no
         proper flat below the loop set and yield an empty tuple.
         """
-        cached = self._hyperplane_cache
-        if cached is not None:
-            return cached
         if self.size > MAX_SCAN:
             raise CapExceeded(
                 f"hyperplane enumeration needs |E| <= {MAX_SCAN}, got {self.size}"
@@ -596,11 +591,7 @@ class Matroid:
                 cl = self._closure_mask(mask)
                 if cl != full:
                     out.add(cl)
-        result = tuple(
-            ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key)
-        )
-        self._hyperplane_cache = result
-        return result
+        return tuple(ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key))
 
     def fundamental_circuit(self, independent: ElemSet, element: str) -> ElemSet:
         """The unique circuit inside independent + element that contains it."""

@@ -301,10 +301,12 @@ def test_unwritable_output_paths_exit_two_with_one_line(tmp_path, capsys, comman
     plain.write_text("", encoding="utf-8")
     src = write(tmp_path, "fano.json", FANO_DOC)
     rc = cli.main(command(src, str(plain / "out.json")))
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
+    # verify checks its report path before any input, so no text report.
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 JSON_VALUES =st.recursive(
@@ -499,6 +501,20 @@ def test_catalog_report_matches_pinned_hash(catalog_dir, bench_inputs, tmp_path,
     report = verify_json(sorted(catalog_dir.glob("*.json")), tmp_path / "report.json")
     capsys.readouterr()
     assert hashlib.sha256(report).hexdigest() == pinned["report_sha256"]
+
+
+def test_catalog_matches_its_pinned_inputs_on_every_slot(bench_inputs):
+    pinned = bench_inputs.load_pinned("catalog")
+    assert len(pinned["slots"]) == bench_inputs.POOL
+    for slot in pinned["slots"]:
+        written = {
+            filename.removesuffix(".json"): hashlib.sha256(
+                cli._dump(doc).encode("utf-8")
+            ).hexdigest()[:16]
+            for filename, doc in cli.catalog_documents(seed=slot["catalog_seed"])
+        }
+        want = {name: file["input"] for name, file in slot["files"].items()}
+        assert written == want, slot["slot"]
 
 
 def pinned_chains(bench_inputs, workload, seed, out_dir, capsys) -> dict[str, list[int]]:

@@ -308,12 +308,16 @@ def test_named_vamos():
 def test_named_unknown():
     with pytest.raises(mc.UnknownName):
         mc.named("petersen")
+    with pytest.raises(mc.UnknownName):
+        mc.construct.named_source("petersen")
 
 
 @pytest.mark.parametrize("name", mc.NAMED_CATALOG)
 def test_every_named_matroid_passes_axioms(name):
     m = mc.named(name)
     assert mc.validate_circuit_axioms(m.circuits).ok
+    shouted = mc.named(name.upper())
+    assert shouted == m and shouted.name == m.name == name
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +336,11 @@ def test_random_linear_deterministic():
 def test_random_linear_validates_and_bounds():
     m = mc.random_linear(1, 6, 3, 2)
     assert mc.validate_circuit_axioms(m.circuits).ok
+    # Entries are drawn column-major, so a wider matrix extends a narrower one.
+    widest = mc.random_matrix(1, mc.MAX_SCAN, 3, 2)
+    assert widest.columns[:6] == mc.random_matrix(1, 6, 3, 2).columns
     with pytest.raises(mc.InvalidParameter):
-        mc.random_linear(1, 15, 3, 2)
+        mc.random_linear(1, mc.MAX_SCAN + 1, 3, 2)
     with pytest.raises(mc.InvalidParameter):
         mc.random_linear(1, 6, 7, 2)
     with pytest.raises(mc.InvalidParameter):
