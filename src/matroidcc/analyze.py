@@ -10,7 +10,7 @@ the original matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import ElemSet, Matroid, bit_indices
@@ -29,18 +29,20 @@ DEFAULT_PAIR_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class CCIntersection:
-    """A circuit, a cocircuit, and their (nonempty) intersection."""
+    """A circuit and a cocircuit that meet."""
 
     circuit: ElemSet
     cocircuit: ElemSet
-    intersection: ElemSet
-    size: int
+
+    @property
+    def intersection(self) -> ElemSet:
+        return self.circuit & self.cocircuit
+
+    @property
+    def size(self) -> int:
+        return len(self.intersection)
 
     def __post_init__(self) -> None:
-        if (self.circuit & self.cocircuit) != self.intersection:
-            raise InvalidParameter("intersection field does not match the pair")
-        if self.size != len(self.intersection):
-            raise InvalidParameter("size field does not match the intersection")
         if self.size == 0:
             raise InvalidParameter("disjoint circuit/cocircuit pair")
         if self.size == 1:
@@ -48,11 +50,6 @@ class CCIntersection:
                 "circuit-cocircuit intersection of size 1; "
                 "a circuit and a cocircuit can never meet in a single element"
             )
-
-    @classmethod
-    def of(cls, circuit: ElemSet, cocircuit: ElemSet) -> "CCIntersection":
-        meet = circuit & cocircuit
-        return cls(circuit, cocircuit, meet, len(meet))
 
 
 def _pair_lists(m: Matroid, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -77,16 +74,8 @@ def cc_intersections(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> list[CCIntersec
     out: list[CCIntersection] = []
     for cm in cmasks:
         for dm in dmasks:
-            meet = cm & dm
-            if meet:
-                out.append(
-                    CCIntersection(
-                        ElemSet(g, cm),
-                        ElemSet(g, dm),
-                        ElemSet(g, meet),
-                        meet.bit_count(),
-                    )
-                )
+            if cm & dm:
+                out.append(CCIntersection(ElemSet(g, cm), ElemSet(g, dm)))
     return out
 
 
@@ -116,9 +105,7 @@ def find_intersection_of_size(
         for dm in dmasks:
             meet = cm & dm
             if meet and meet.bit_count() == k:
-                return CCIntersection(
-                    ElemSet(g, cm), ElemSet(g, dm), ElemSet(g, meet), k
-                )
+                return CCIntersection(ElemSet(g, cm), ElemSet(g, dm))
     return None
 
 
@@ -309,14 +296,6 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CeFamily:
-    """Circuits of the minor whose only element outside X is ``element``."""
-
-    element: str
-    members: tuple[ElemSet, ...]
-
-
 def _ce_members(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
     """Circuits C of the minor with C - X = {element}, in canonical order."""
     ebit = 1 << ox.minor.ground.index(element)
@@ -326,8 +305,9 @@ def _ce_members(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
     )
 
 
-def ce_family(ox: OxleyMinor, element: str) -> CeFamily:
-    """All circuits C of the minor with C - X = {element}; at least two."""
+def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
+    """All circuits C of the minor with C - X = {element}, in canonical
+    order; at least two."""
     if element not in ox.y:
         raise PreconditionViolated(f"element {element!r} is not in Y")
     members = _ce_members(ox, element)
@@ -336,20 +316,19 @@ def ce_family(ox: OxleyMinor, element: str) -> CeFamily:
             f"only {len(members)} circuit(s) leave X exactly at {element!r}; "
             "at least two are guaranteed"
         )
-    return CeFamily(element=element, members=members)
+    return members
 
 
 @dataclass
-class PropertyReport:
-    """Result of one property suite: pass/fail plus exercise counts."""
+class SuiteResult:
+    """One property suite's outcome, with how often each law was exercised."""
 
-    name: str
-    passed: bool
-    exercised: dict[str, int] = field(default_factory=dict)
+    status: str  # "pass" | "fail" | "vacuous"
+    exercised: dict[str, int]
     failure: str | None = None
 
 
-def check_ce_families(ox: OxleyMinor) -> PropertyReport:
+def check_ce_families(ox: OxleyMinor) -> SuiteResult:
     """Laws of the families C_e (circuits leaving X at a single element e):
     member size and rank bounds, at least two members, pairwise unions
     covering X + e, third members containing X minus any pair's meet, and
@@ -365,8 +344,8 @@ def check_ce_families(ox: OxleyMinor) -> PropertyReport:
         "third_member_checks": 0,
     }
 
-    def fail(msg: str) -> PropertyReport:
-        return PropertyReport("ce_families", False, stats, msg)
+    def fail(msg: str) -> SuiteResult:
+        return SuiteResult("fail", stats, msg)
 
     for element in ox.y.labels():
         ebit = 1 << n.ground.index(element)
@@ -411,10 +390,10 @@ def check_ce_families(ox: OxleyMinor) -> PropertyReport:
                 f"two-member criterion fails for C_{element}: "
                 f"size {len(members)}, pair-meets-only-e {pair_meets_only_e}"
             )
-    return PropertyReport("ce_families", True, stats)
+    return SuiteResult("pass", stats)
 
 
-def check_circuit_pairs(ox: OxleyMinor) -> PropertyReport:
+def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
     """Laws for intersecting circuit pairs that each leave X at one element:
     (1) when X is not covered by the union, the X-parts nest or some circuit
     squeezes strictly between the symmetric difference and the union;
@@ -427,8 +406,8 @@ def check_circuit_pairs(ox: OxleyMinor) -> PropertyReport:
     qual = [c for c in n.circuits if len(c & ox.y) == 1]
     masks = n.circuits.masks
 
-    def fail(msg: str) -> PropertyReport:
-        return PropertyReport("circuit_pairs", False, stats, msg)
+    def fail(msg: str) -> SuiteResult:
+        return SuiteResult("fail", stats, msg)
 
     for i in range(len(qual)):
         for j in range(i + 1, len(qual)):
@@ -475,10 +454,10 @@ def check_circuit_pairs(ox: OxleyMinor) -> PropertyReport:
                             f"no witness circuit inside {a!r} | {b!r} carrying "
                             "its Y-part and the difference"
                         )
-    return PropertyReport("circuit_pairs", True, stats)
+    return SuiteResult("pass", stats)
 
 
-def check_rank2_circuits(ox: OxleyMinor) -> PropertyReport:
+def check_rank2_circuits(ox: OxleyMinor) -> SuiteResult:
     """Laws for rank-2 circuits of the minor: each is a 3-element flat with
     exactly one Y element; for k >= 5, two of them are disjoint or meet in
     one element with Y-parts differing and symmetric difference a 4-circuit.
@@ -487,8 +466,8 @@ def check_rank2_circuits(ox: OxleyMinor) -> PropertyReport:
     stats = {"rank2_circuits": 0, "pairs_checked": 0, "intersecting_pairs": 0}
     r2 = [c for c in n.circuits if len(c) == 3]
 
-    def fail(msg: str) -> PropertyReport:
-        return PropertyReport("rank2_circuits", False, stats, msg)
+    def fail(msg: str) -> SuiteResult:
+        return SuiteResult("fail", stats, msg)
 
     for c in r2:
         stats["rank2_circuits"] += 1
@@ -519,7 +498,7 @@ def check_rank2_circuits(ox: OxleyMinor) -> PropertyReport:
                         f"symmetric difference {sym!r} of {c!r}, {cp!r} "
                         "is not a 4-circuit"
                     )
-    return PropertyReport("rank2_circuits", True, stats)
+    return SuiteResult("pass", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +529,7 @@ def witness_k4(ox: OxleyMinor) -> CCIntersection:
     meet = circ & ox.x
     if meet.labels() != (x1, x2):
         raise TheoremViolation(f"witness circuit meets X in {meet!r}, not {{x1,x2}}")
-    return CCIntersection.of(circ, ox.x)
+    return CCIntersection(circ, ox.x)
 
 
 def witness_k5(ox: OxleyMinor) -> CCIntersection:
@@ -570,13 +549,13 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
     # Branch (a): a size-4 circuit or cocircuit with exactly one Y element.
     for c in n.circuits:
         if len(c) == 4 and len(c & ox.y) == 1:
-            found = CCIntersection.of(c, ox.x)
+            found = CCIntersection(c, ox.x)
             if found.size != 3:
                 raise TheoremViolation("size-4 circuit does not meet X in 3")
             return found
     for d in co:
         if len(d) == 4 and len(d & ox.y) == 1:
-            found = CCIntersection.of(ox.x, d)
+            found = CCIntersection(ox.x, d)
             if found.size != 3:
                 raise TheoremViolation("size-4 cocircuit does not meet X in 3")
             return found
@@ -596,7 +575,7 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
     x1 = missing.labels()[0]
     y2 = next(lab for lab in ox.y.labels() if lab != y1)
     fam = ce_family(ox, y2)
-    c1 = next((c for c in fam.members if x1 in c), None)
+    c1 = next((c for c in fam if x1 in c), None)
     if c1 is None:
         raise TheoremViolation(
             f"no circuit leaving X at {y2} contains {x1}; one is guaranteed"
@@ -605,7 +584,7 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
         chosen = c1
     elif len(c1) == 3:
         chosen = next(
-            (c for c in fam.members if len(c) == 5 and x1 in c), None
+            (c for c in fam if len(c) == 5 and x1 in c), None
         )
         if chosen is None:
             raise TheoremViolation(
@@ -616,7 +595,7 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
         raise TheoremViolation(
             f"one-Y circuit {c1!r} of size {len(c1)} after size-4 exclusion"
         )
-    found = CCIntersection.of(chosen, c0)
+    found = CCIntersection(chosen, c0)
     if found.size != 3:
         raise TheoremViolation(
             f"witness pair meets in {found.size} elements instead of 3"
@@ -697,56 +676,21 @@ def lift_intersection(
 
 
 @dataclass(frozen=True)
-class ExtractionStep:
-    kind = "extraction"
-    minor: OxleyMinor
-
-
-@dataclass(frozen=True)
-class OracleStep:
-    kind = "oracle-size-4"
-    found: CCIntersection
-
-
-@dataclass(frozen=True)
-class WitnessStep:
-    kind = "constructive-witness"
-    found: CCIntersection
-
-
-@dataclass(frozen=True)
-class LiftStep:
-    kind = "lift"
-    circuit: ElemSet
-    cocircuit: ElemSet
-
-
-@dataclass(frozen=True)
 class WitnessChain:
-    """Audit trail from a size-k intersection down to size k - 2."""
+    """Audit trail from a size-k intersection down to size k - 2: the
+    extracted minor, the size-(k - 2) pair inside it (found by
+    ``witness_k4``/``witness_k5``, or by oracle search for k = 6), and that
+    pair lifted back to the input matroid."""
 
     k: int
-    steps: tuple
+    minor: OxleyMinor
+    inner: CCIntersection
     final: CCIntersection
 
 
 # ---------------------------------------------------------------------------
 # Whole-matroid verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SuiteResult:
-    status: str  # "pass" | "fail" | "vacuous"
-    exercised: dict[str, int]
-    failure: str | None = None
-
-
-@dataclass
-class ConjectureEntry:
-    k: int
-    oracle_ok: bool
-    chain: WitnessChain
 
 
 @dataclass
@@ -759,7 +703,7 @@ class ConjectureReport:
     circuit_count: int
     cocircuit_count: int
     achieved: tuple[int, ...]
-    entries: tuple[ConjectureEntry, ...]
+    entries: tuple[WitnessChain, ...]
     out_of_scope: tuple[tuple[int, bool], ...]
     suites: dict[str, SuiteResult]
 
@@ -768,7 +712,7 @@ class ConjectureReport:
         return not self.entries and not self.out_of_scope
 
 
-_SUITES: tuple[tuple[str, Callable[[OxleyMinor], PropertyReport]], ...] = (
+_SUITES: tuple[tuple[str, Callable[[OxleyMinor], SuiteResult]], ...] = (
     ("ce_families", check_ce_families),
     ("circuit_pairs", check_circuit_pairs),
     ("rank2_circuits", check_rank2_circuits),
@@ -788,7 +732,7 @@ def _aggregate_suites(minors: list[OxleyMinor]) -> dict[str, SuiteResult]:
             report = check(ox)
             for key, count in report.exercised.items():
                 totals[key] = totals.get(key, 0) + count
-            if not report.passed and failure is None:
+            if report.status != "pass" and failure is None:
                 ok = False
                 failure = report.failure
         out[suite_name] = SuiteResult("pass" if ok else "fail", totals, failure)
@@ -808,13 +752,11 @@ def verify_conjecture(
     """
     label = name or m.name or "matroid"
     sizes = achieved_sizes(m, cap)
-    entries: list[ConjectureEntry] = []
-    minors: list[OxleyMinor] = []
+    entries: list[WitnessChain] = []
     for k in (4, 5, 6):
         if k not in sizes:
             continue
-        oracle_ok = (k - 2) in sizes
-        if not oracle_ok:
+        if (k - 2) not in sizes:
             raise TheoremViolation(
                 f"{label}: size {k} achieved but size {k - 2} is not; "
                 "this would disprove the theorem and indicates a bug"
@@ -832,28 +774,20 @@ def verify_conjecture(
         lifted_c, lifted_d = lift_intersection(
             m, ox.spec, ox.minor, inner.circuit, inner.cocircuit
         )
-        final = CCIntersection.of(lifted_c, lifted_d)
+        final = CCIntersection(lifted_c, lifted_d)
         if final.size != k - 2:
             raise TheoremViolation(
                 f"{label}: chain for k={k} ended at size {final.size}"
             )
-        found = OracleStep(inner) if k == 6 else WitnessStep(inner)
-        chain = WitnessChain(
-            k=k,
-            steps=(ExtractionStep(ox), found, LiftStep(lifted_c, lifted_d)),
-            final=final,
-        )
-        minors.append(ox)
-        entries.append(ConjectureEntry(k=k, oracle_ok=oracle_ok, chain=chain))
-    co_count = len(cocircuits(m))
+        entries.append(WitnessChain(k=k, minor=ox, inner=inner, final=final))
     return ConjectureReport(
         name=label,
         elements=m.size,
         rank=m.rank(),
         circuit_count=len(m.circuits),
-        cocircuit_count=co_count,
+        cocircuit_count=len(cocircuits(m)),
         achieved=sizes,
         entries=tuple(entries),
         out_of_scope=tuple((k, (k - 2) in sizes) for k in sizes if k >= 7),
-        suites=_aggregate_suites(minors),
+        suites=_aggregate_suites([chain.minor for chain in entries]),
     )

