@@ -8,8 +8,7 @@ once in its file (so a stale mutant cannot pass silently), or if the
 unpatched copy already fails a test selection.  It needs only the standard
 library and pytest, and is not part of the tier-1 suite:
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME...    # only the named mutants
+    python3 tests/mutants.py
 """
 
 from __future__ import annotations
@@ -150,23 +149,18 @@ def check(mutant: Mutant, work: Path) -> str | None:
     return None
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="matroidcc-mutants-") as tmp:
         work = Path(tmp)
         clean = work / "unpatched"
         copy_tree(clean)
-        for tests in dict.fromkeys(m.tests for m in chosen):
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
             rc, summary = run_tests(clean, tests)
             print(f"unpatched {' '.join(tests)}: {summary}")
             if rc != 0:
                 problems.append(f"unpatched tree fails {' '.join(tests)}")
-        for mutant in chosen:
+        for mutant in MUTANTS:
             start = time.perf_counter()
             problem = check(mutant, work)
             took = time.perf_counter() - start
@@ -176,9 +170,9 @@ def main(argv: list[str]) -> int:
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
     if not problems:
-        print(f"all {len(chosen)} mutants killed")
+        print(f"all {len(MUTANTS)} mutants killed")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
