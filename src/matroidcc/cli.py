@@ -9,6 +9,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,6 +29,14 @@ from .errors import (
 REPORT_VERSION = 1
 
 DEFAULT_RANDOM_COUNT = 20
+
+
+def _printable(line: str) -> str:
+    """``line`` with each lone surrogate written as a backslash escape, as
+    the interpreter's own stderr writes it.  A non-UTF-8 file name decodes
+    to lone surrogates, and a strict UTF-8 stream (a test's capture, a
+    program embedding the CLI) cannot print them."""
+    return line.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _exit_code_for(err: MatroidError) -> int:
@@ -172,27 +181,34 @@ def matroid_doc(m: Matroid, name: str | None = None) -> dict:
     return doc
 
 
+# Writers of the scalars a report holds, looked up by exact type so that
+# a bool is not written as an int.
+_SCALAR_WRITERS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+}
+
+
 def _indented(value: Any, pad: str) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, where ``pad`` is
     the newline and indent of the line ``value`` starts on.  The standard
     library writes indented JSON through its pure-Python encoder; joining
     each container's items at once takes about half the time."""
-    if type(value) is str:
-        return encode_basestring(value)
-    if type(value) is int:
-        return int.__repr__(value)
+    writer = _SCALAR_WRITERS.get(type(value))
+    if writer is not None:
+        return writer(value)
     inner = pad + "  "
     if isinstance(value, dict):
+        if not value:
+            return "{}"
         items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_indented(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + pad + "]"
+    return json.dumps(value)
 
 
 def _dump(doc: dict) -> str:
@@ -264,7 +280,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     docs = catalog_documents(seed=args.seed)
     for filename, doc in docs:
         (out_dir / filename).write_text(_dump(doc), encoding="utf-8")
-    print(f"wrote {len(docs)} matroid files to {out_dir}")
+    print(_printable(f"wrote {len(docs)} matroid files to {out_dir}"))
     return 0
 
 
@@ -380,7 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         Path(args.json).write_text(_dump(doc), encoding="utf-8")
     if first_error is not None:
         path, err = first_error
-        print(f"{path}: {type(err).__name__}: {err}", file=sys.stderr)
+        print(_printable(f"{path}: {type(err).__name__}: {err}"), file=sys.stderr)
         return _exit_code_for(err)
     print(f"verified {len(entries)} matroid(s); all checks passed")
     return 0
@@ -464,7 +480,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` runs once from
+    the command line but many times in tests and embedding programs."""
     parser = argparse.ArgumentParser(
         prog="matroidcc",
         description="Matroid toolkit: circuit-cocircuit intersection verification",
@@ -519,11 +538,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MatroidError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        print(_printable(f"{type(err).__name__}: {err}"), file=sys.stderr)
         return _exit_code_for(err)
     except OSError as err:
         # An output path that cannot be written is a usage error.
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        print(_printable(f"{type(err).__name__}: {err}"), file=sys.stderr)
         return 2
 
 

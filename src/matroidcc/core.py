@@ -3,11 +3,13 @@
 A matroid is stored as the full list of its circuits (minimal dependent
 sets) over a labelled ground set of at most 64 elements.  Subsets are int
 bitmasks, and every derived query -- axiom validation, rank, closure,
-hyperplanes, simplicity -- reduces to the single primitive "does this
-subset contain a circuit".  ``dependence_test`` is the one place that
-answers it: for ground sets of at most ``MAX_SCAN`` elements by a lookup in
+simplicity -- reduces to the single primitive "does this subset contain a
+circuit".  ``dependence_test`` is the one place that answers it: for
+ground sets of at most ``MAX_SCAN`` elements by a lookup in
 ``dependency_table``, a bitset over all subsets built once per family, and
-for larger ones by a linear scan of the circuits.  The canonical order
+for larger ones by a linear scan of the circuits.  The same table gives
+the cocircuits, and so the hyperplanes and the dual, in a few whole-table
+shift-and-mask passes (``cocircuit_masks``).  The canonical order
 used everywhere is by cardinality, then lexicographically by element
 index; every deterministic tie-break in the package relies on it.  All
 types are immutable after construction (caches fill idempotently).
@@ -15,7 +17,7 @@ types are immutable after construction (caches fill idempotently).
 
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -29,7 +31,7 @@ from .errors import (
 )
 
 MAX_GROUND = 64
-# Exhaustive subset scans (hyperplane enumeration, brute-force oracles)
+# Exhaustive subset scans (cocircuit enumeration, brute-force oracles)
 # refuse ground sets larger than this, and dependency tables (2^n bits,
 # 128 KiB at this size) are built only up to it.
 MAX_SCAN = 20
@@ -118,6 +120,49 @@ def dependency_table(n: int, masks: Iterable[int]) -> bytes:
     for width, lacking in _lacking(n):
         table |= (table & lacking) << width
     return table.to_bytes(len(raw), "little")
+
+
+def cocircuit_masks(n: int, masks: Iterable[int]) -> list[int]:
+    """The cocircuits of the matroid whose circuits are ``masks``, in
+    increasing mask value, from its ``dependency_table``.
+
+    S is dependent in the dual iff E - S does not span (Oxley, Matroid
+    Theory, Prop. 2.1.9).  On the 2^n-bit table this is: the bases are the
+    independent sets with no independent one-element extension; closing
+    them upwards gives the spanning sets; reversing the bit string maps
+    each subset to its complement, so the non-spanning sets become the
+    dual's dependent sets; their minimal members, the sets with no
+    dependent S - e, are the cocircuits.  Every step is n shift-and-mask
+    operations on one int, the idiom of ``dependency_table``.
+    """
+    if n > MAX_SCAN:
+        raise CapExceeded(f"cocircuit enumeration needs |E| <= {MAX_SCAN}, got {n}")
+    size = 1 << n
+    full = (1 << size) - 1
+    lacking = list(_lacking(n))
+    raw = dependency_table(n, masks)
+    independent = full ^ int.from_bytes(raw, "little")
+    extendable = 0
+    for width, lack in lacking:
+        extendable |= (independent >> width) & lack
+    spanning = independent & ~extendable  # the bases
+    for width, lack in lacking:
+        spanning |= (spanning & lack) << width
+    # Bit S moves to bit 2^n - 1 - S: bytes in reverse order, each byte's
+    # bits reversed, then the padding below 2^n bits shifted out.
+    nonspanning = (full ^ spanning).to_bytes(len(raw), "little")
+    reversed_bits = int.from_bytes(nonspanning.translate(_BYTE_REVERSED), "big")
+    codependent = reversed_bits >> (8 * len(raw) - size)
+    larger = 0
+    for width, lack in lacking:
+        larger |= (codependent & lack) << width
+    minimal = (codependent & ~larger).to_bytes(len(raw), "little")
+    out = []
+    for hit in re.finditer(rb"[^\x00]", minimal):
+        byte = hit.start()
+        for bit in bit_indices(minimal[byte]):
+            out.append(byte << 3 | bit)
+    return out
 
 
 def contains_smaller_member(dependent: Callable[[int], int], mask: int) -> bool:
@@ -568,29 +613,11 @@ class Matroid:
         return ElemSet(self.ground, self._closure_mask(subset.mask))
 
     def hyperplanes(self) -> tuple[ElemSet, ...]:
-        """All maximal proper flats, in canonical order.
-
-        Every rank-(r-1) flat is the closure of an independent (r-1)-set,
-        so scanning those closures is exhaustive.  Rank-0 matroids have no
-        proper flat below the loop set and yield an empty tuple.
-        """
-        if self.size > MAX_SCAN:
-            raise CapExceeded(
-                f"hyperplane enumeration needs |E| <= {MAX_SCAN}, got {self.size}"
-            )
-        r = self._rank_full
-        out: set[int] = set()
-        if r > 0:
-            full = self.ground.full_mask
-            for combo in itertools.combinations(range(self.size), r - 1):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if self._dependent_mask(mask):
-                    continue
-                cl = self._closure_mask(mask)
-                if cl != full:
-                    out.add(cl)
+        """All maximal proper flats, in canonical order: the complements of
+        the cocircuits (``cocircuit_masks``).  Rank-0 matroids have no
+        cocircuit and yield an empty tuple."""
+        full = self.ground.full_mask
+        out = [full ^ d for d in cocircuit_masks(self.size, self._masks)]
         return tuple(ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key))
 
     def fundamental_circuit(self, independent: ElemSet, element: str) -> ElemSet:

@@ -1,9 +1,10 @@
 """Duality and minor operations: dual, cocircuits, deletion, contraction.
 
-The dual is computed from hyperplane complements (a cocircuit is exactly
-the complement of a maximal proper flat).  Basis complementation is kept
-out of this module on purpose: the test suite uses it as an independent
-oracle against this construction.
+The dual's circuits are the minimal sets whose complement does not span,
+read off the dependency table by ``core.cocircuit_masks``.  Basis
+complementation and the closure scan over (r-1)-sets are kept out of the
+package on purpose: the test suite uses them as independent oracles
+against this construction.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .core import (
     ElemSet,
     GroundSet,
     Matroid,
+    cocircuit_masks,
     compress_masks,
     contains_smaller_member,
     dependence_test,
@@ -53,7 +55,9 @@ class MinorSpec:
 
 
 def dual(m: Matroid) -> Matroid:
-    """Dual matroid: circuits are the complements of the hyperplanes.
+    """Dual matroid: its circuits are the minimal sets S whose complement
+    E - S does not span m (``core.cocircuit_masks``, from m's dependency
+    table), and its rank is checked against |E| - r(m).
 
     The result is cached on the input (idempotent fill); the reverse link
     is deliberately not set so dual(dual(m)) exercises a fresh computation.
@@ -61,17 +65,15 @@ def dual(m: Matroid) -> Matroid:
     cached = m._dual_cache
     if cached is not None:
         return cached
-    full = m.ground.full_mask
-    masks = [full ^ h.mask for h in m.hyperplanes()]
     d = Matroid(
         m.ground,
-        masks,
+        cocircuit_masks(m.size, m.circuits.masks),
         name=f"dual({m.name})" if m.name else None,
         validate=False,
     )
     if d.rank() != m.size - m.rank():
         raise TheoremViolation(
-            "dual rank differs from |E| - rank; hyperplane enumeration is buggy"
+            "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
         )
     m._dual_cache = d
     return d

@@ -27,9 +27,12 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 
 ANALYZE = "src/matroidcc/analyze.py"
 CLI = "src/matroidcc/cli.py"
+CORE = "src/matroidcc/core.py"
 
 # pytest selections the mutants run.
 EXTRACTION = ("tests/test_analyze.py", "-k", "extract or search_viable")
+PAIR_SCAN = ("tests/test_analyze.py", "-k", "achieved or count_planes")
+TABLE_DUAL = ("tests/test_core.py", "-k", "table_dual")
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
 TEXT_REPORT = ("tests/test_cli.py", "-k", "text_report")
 
@@ -45,11 +48,49 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
+        "dual-skips-the-bit-reversal",
+        CORE,
+        "codependent = reversed_bits >> (8 * len(raw) - size)",
+        'codependent = int.from_bytes(nonspanning, "little")',
+        TABLE_DUAL,
+    ),
+    Mutant(
+        "bases-taken-as-all-independent-sets",
+        CORE,
+        "spanning = independent & ~extendable  # the bases",
+        "spanning = independent  # the bases",
+        TABLE_DUAL,
+    ),
+    Mutant(
         "ranks-without-contracted-set",
         ANALYZE,
-        "return m._greedy_basis_mask(s | contracted).bit_count() - r_con",
-        "return m._greedy_basis_mask(s).bit_count() - r_con",
+        "return r_m(s | contracted) - r_con",
+        "return r_m(s) - r_con",
         EXTRACTION,
+    ),
+    Mutant(
+        "rank-memo-keyed-without-contracted-set",
+        ANALYZE,
+        "return r_m(s | contracted) - r_con",
+        "r = ranks.get(s)\n"
+        "        if r is None:\n"
+        "            r = ranks[s] = m._greedy_basis_mask(s | contracted).bit_count()\n"
+        "        return r - r_con",
+        EXTRACTION,
+    ),
+    Mutant(
+        "counter-drops-its-last-carry",
+        ANALYZE,
+        "p4 ^= add",
+        "pass",
+        PAIR_SCAN,
+    ),
+    Mutant(
+        "size-one-test-on-the-first-circuit-only",
+        ANALYZE,
+        "if p0 & ~(p1 | p2 | p3 | p4):",
+        "if cm == cmasks[0] and p0 & ~(p1 | p2 | p3 | p4):",
+        PAIR_SCAN,
     ),
     Mutant(
         "outside-elements-contracted-first",

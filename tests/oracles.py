@@ -3,12 +3,13 @@
 Every routine here is a second route to the answer: subset enumeration
 against rank formulas, union-find on graphs, xor structure for the Fano
 plane.  None of them share code with the package's production paths,
-except as said below.  Four are the package's former versions, kept as
+except as said below.  Five are the package's former versions, kept as
 references for the faster ones that replaced them:
 ``validate_circuit_axioms_scan`` for the dependency-table validator,
 ``mask_sort_key`` and ``compress_mask`` for the bit-reversal key and the
-run-shifting re-indexing in ``core``, and ``oxley_minor_by_minors`` for
-the extraction that prunes on the parent's ranks.  The validator shares
+run-shifting re-indexing in ``core``, ``hyperplanes_by_closures`` for the
+cocircuits read off the dependency table, and ``oxley_minor_by_minors``
+for the extraction that prunes on the parent's ranks.  The validator shares
 only the report and family types; the extraction search builds its
 minors with the package's ``delete`` and ``contract`` and checks them
 with ``OxleyMinor.invariant_failures``, so it is a reference for the
@@ -87,6 +88,24 @@ def brute_dual_circuit_masks(matroid) -> list[int]:
             if matroid.rank(rest) < full_rank:
                 found.append(d)
     return sorted(found)
+
+
+def hyperplanes_by_closures(matroid) -> list[int]:
+    """Hyperplane masks in canonical order: the closures of the independent
+    (r - 1)-sets, other than the whole ground set.  Every rank-(r - 1) flat
+    is the closure of one, so the scan is exhaustive; a rank-0 matroid has
+    none."""
+    ground = matroid.ground
+    r = matroid.rank()
+    found: set[int] = set()
+    if r > 0:
+        for combo in itertools.combinations(range(ground.size), r - 1):
+            base = ground.from_mask(mask_of(combo))
+            if matroid.is_independent(base):
+                flat = matroid.closure(base).mask
+                if flat != ground.full_mask:
+                    found.add(flat)
+    return sorted(found, key=mask_sort_key)
 
 
 def gf_rank_oracle(vectors: Sequence[Sequence[int]], p: int) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
@@ -29,6 +29,7 @@ from matroidcc import (
 )
 
 import oracles
+from test_construct import columns_with_loops_and_parallels
 
 
 def first_pair(m: mc.Matroid, k: int) -> mc.CCIntersection:
@@ -55,6 +56,71 @@ def test_achieved_sizes_examples():
     # The lone circuit of the triangle meets every 2-element cocircuit in
     # exactly two elements.
     assert achieved_sizes(mc.uniform(3, 2)) == (2,)
+
+
+def sizes_by_pairs(m: mc.Matroid) -> tuple[int, ...]:
+    return tuple(sorted({cc.size for cc in cc_intersections(m)}))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    rows=st.integers(0, 5),
+    n=st.integers(1, 10),
+)
+def test_achieved_sizes_match_the_pairs_on_random_matrices(data, p, rows, n):
+    columns = data.draw(columns_with_loops_and_parallels(p, rows, n))
+    m = mc.from_matrix(mc.MatrixOverGF(p, rows, tuple(columns)))
+    assert achieved_sizes(m) == sizes_by_pairs(m)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), vertices=st.integers(1, 7))
+def test_achieved_sizes_match_the_pairs_on_random_multigraphs(data, vertices):
+    ends = st.integers(min_value=0, max_value=vertices - 1)
+    pairs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=12))
+    edges = tuple((u, v, f"e{i}") for i, (u, v) in enumerate(pairs))
+    m = mc.from_graph(mc.GraphSpec(vertices, edges))
+    assert achieved_sizes(m) == sizes_by_pairs(m)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    cm=st.integers(0, 2**20 - 1),
+    dmasks=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=70),
+    full=st.booleans(),
+)
+@example(cm=0, dmasks=[0, 0, 0, 0, 0], full=True)
+def test_count_planes_match_popcount_on_random_masks(cm, dmasks, full):
+    # Full masks make counts of 16..20 occur, which only the fifth plane holds.
+    if full:
+        cm = 2**20 - 1
+        dmasks = [d | (2**20 - 1) >> (j % 5) for j, d in enumerate(dmasks)]
+    columns = [sum(1 << j for j, d in enumerate(dmasks) if d >> e & 1) for e in range(20)]
+    planes = analyze._count_planes(columns, cm)
+    for j, d in enumerate(dmasks):
+        count = sum((plane >> j & 1) << bit for bit, plane in enumerate(planes))
+        assert count == (cm & d).bit_count()
+
+
+def test_achieved_sizes_refuses_a_size_one_pair_at_the_last_circuit(monkeypatch):
+    # Two disjoint triangles; a planted cocircuit {4} meets only the last
+    # circuit {4, 5, 6}, and in one element.
+    m = mc.from_graph(mc.GraphSpec(6, (
+        (0, 1, "1"), (1, 2, "2"), (0, 2, "3"), (3, 4, "4"), (4, 5, "5"), (3, 5, "6"),
+    )))
+    assert m.circuits.masks == (0b000111, 0b111000)
+    assert achieved_sizes(m) == (2,)
+    real = cocircuits(m)
+
+    class Planted(tuple):
+        # What the pair scan reads of a cocircuit family: len() and masks.
+        masks = property(tuple)
+
+    monkeypatch.setattr(analyze, "cocircuits", lambda _: Planted(real.masks + (0b001000,)))
+    with pytest.raises(mc.TheoremViolation, match="size 1"):
+        achieved_sizes(m)
 
 
 def test_cc_intersections_enumerates_all_meeting_pairs():
@@ -186,9 +252,12 @@ def test_search_viable_matches_the_minor_reference_on_every_state(m):
     # Every (deleted, contracted) pair and every X of size >= 4 among the
     # survivors, at the one count of removals the extraction DFS can reach
     # there: the survivors beyond 2k - 2.  Of these four, only the non-Fano
-    # plane has a state that just the cocircuit-inside-X test prunes.
+    # plane has a state that just the cocircuit-inside-X test prunes.  Each
+    # state is checked with a fresh rank memo and with one memo shared by
+    # every state, as the extraction DFS shares one across its search.
     g = m.ground
     outcomes = set()
+    shared: dict[int, int] = {}
     for choice in itertools.product((0, 1, 2), repeat=m.size):
         deleted = oracles.mask_of(i for i, c in enumerate(choice) if c == 1)
         contracted = oracles.mask_of(i for i, c in enumerate(choice) if c == 2)
@@ -200,9 +269,10 @@ def test_search_viable_matches_the_minor_reference_on_every_state(m):
             if k < 4 or removals_left < 0:
                 continue
             x_cur = mc.ElemSet(g, x_mask).to_ground(cur.ground).mask
-            got = analyze._search_viable(m, deleted, contracted, x_mask, k)
+            got = analyze._search_viable(m, deleted, contracted, x_mask, k, {})
             want = oracles.search_viable_by_minors(cur, x_cur, k, removals_left)
             assert got == want, (deleted, contracted, x_mask, removals_left)
+            assert analyze._search_viable(m, deleted, contracted, x_mask, k, shared) == want
             outcomes.add(got)
     assert outcomes == {False, True}
 

@@ -322,10 +322,8 @@ def test_unwritable_output_paths_exit_two_with_one_line(tmp_path, capsys, comman
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["verify", "inspect"])
-def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
-    # Without a "name" field the report names the input after its file,
-    # whose non-UTF-8 bytes decode to lone surrogates.
+def unnamed_fano_with_a_non_utf8_file_name(tmp_path: Path) -> Path:
+    """``bad\\xff.json`` holding the Fano plane without a "name" field."""
     path = Path(os.fsdecode(os.fsencode(tmp_path) + b"/bad\xff.json"))
     if "\udcff" not in str(path):
         pytest.skip("file names do not decode with surrogate escapes here")
@@ -334,6 +332,14 @@ def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
         path.write_text(json.dumps(unnamed), encoding="utf-8")
     except OSError:
         pytest.skip("the file system refuses a non-UTF-8 file name")
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
+    # Without a "name" field the report names the input after its file,
+    # whose non-UTF-8 bytes decode to lone surrogates.
+    path = unnamed_fano_with_a_non_utf8_file_name(tmp_path)
     report = tmp_path / "report.json"
     argv = [command, str(path)] + (["--json", str(report)] if command == "verify" else [])
 
@@ -351,6 +357,37 @@ def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
     # With the field, the same file is accepted.
     path.write_text(json.dumps(FANO_DOC), encoding="utf-8")
     assert run()[0] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_non_utf8_file_names_print_on_a_strict_stream(tmp_path, capsys, command):
+    # capsys's stderr is strict UTF-8, so printing the lone surrogate the
+    # path holds would raise; the line carries it as a backslash escape.
+    path = unnamed_fano_with_a_non_utf8_file_name(tmp_path)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("bad\\udcff.json") == (2 if command == "verify" else 1)
+    assert 'add a "name" field' in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_catalog_into_a_non_utf8_directory_prints_on_a_strict_stream(tmp_path, capsys):
+    # The closing line names the directory, whose non-UTF-8 byte decodes
+    # to a lone surrogate; capsys's stdout is strict UTF-8.
+    out = Path(os.fsdecode(os.fsencode(tmp_path) + b"/out\xff"))
+    if "\udcff" not in str(out):
+        pytest.skip("file names do not decode with surrogate escapes here")
+    try:
+        out.mkdir()
+    except OSError:
+        pytest.skip("the file system refuses a non-UTF-8 file name")
+    assert cli.main(["catalog", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    count = len(cli.catalog_documents())
+    assert captured.out == f"wrote {count} matroid files to {tmp_path}/out\\udcff\n"
+    assert captured.err == ""
+    assert len(list(out.glob("*.json"))) == count
 
 
 def test_verify_text_report_for_fano_and_u10_5(catalog_dir, capsys):

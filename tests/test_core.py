@@ -13,6 +13,7 @@ import matroidcc as mc
 from matroidcc import GroundSet, Matroid
 
 import oracles
+from test_construct import columns_with_loops_and_parallels
 
 
 def ground(n: int) -> GroundSet:
@@ -421,6 +422,49 @@ def test_hyperplanes_of_rank_zero_matroid_empty():
     loops = Matroid(g, [g.subset(["1"]), g.subset(["2"])])
     assert loops.rank() == 0
     assert loops.hyperplanes() == ()
+
+
+def assert_table_dual_matches_the_closure_scan(m: Matroid) -> None:
+    hyperplanes = oracles.hyperplanes_by_closures(m)
+    assert [h.mask for h in m.hyperplanes()] == hyperplanes
+    complements = sorted(m.ground.full_mask ^ h for h in hyperplanes)
+    assert mc.core.cocircuit_masks(m.size, m.circuits.masks) == complements
+    assert sorted(mc.cocircuits(m).masks) == complements
+
+
+@pytest.mark.parametrize("name", mc.NAMED_CATALOG)
+def test_table_dual_matches_the_closure_scan_on_named_matroids(name):
+    assert_table_dual_matches_the_closure_scan(mc.named(name))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_table_dual_of_free_and_rank_zero_matroids(n):
+    # Fewer than three elements give tables shorter than one byte.
+    free, loops = mc.uniform(n, n), mc.uniform(n, 0)
+    assert_table_dual_matches_the_closure_scan(free)
+    assert_table_dual_matches_the_closure_scan(loops)
+    assert mc.core.cocircuit_masks(n, free.circuits.masks) == [1 << i for i in range(n)]
+    assert mc.core.cocircuit_masks(n, loops.circuits.masks) == []
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    rows=st.integers(0, 10),
+    n=st.integers(1, 10),
+)
+def test_table_dual_matches_the_closure_scan_on_random_matrices(data, p, rows, n):
+    # Zero rows give rank 0; rows >= n often give full rank.
+    columns = data.draw(columns_with_loops_and_parallels(p, rows, n))
+    assert_table_dual_matches_the_closure_scan(
+        mc.from_matrix(mc.MatrixOverGF(p, rows, tuple(columns)))
+    )
+
+
+def test_cocircuit_enumeration_refuses_more_than_max_scan_elements():
+    with pytest.raises(mc.CapExceeded):
+        mc.core.cocircuit_masks(mc.MAX_SCAN + 1, [])
 
 
 # ---------------------------------------------------------------------------
