@@ -100,7 +100,7 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
     name = doc.get("name")
     if name is not None and not _is_text(name):
         raise ParseError(f"{path}: name must be a string without lone surrogates")
-    if name is None:
+    if not name:
         # A file name that is not UTF-8 decodes to lone surrogates.
         name = path.stem
         if not _is_text(name):
@@ -138,7 +138,8 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
         for row in rows:
             if not isinstance(row, list) or len(row) != len(labels):
                 raise ParseError(f"{path}: each row must list one entry per label")
-        matrix = construct.MatrixOverGF.from_rows(p, rows)
+        # Without rows every label is a zero column; one zero row keeps the width.
+        matrix = construct.MatrixOverGF.from_rows(p, rows or [[0] * len(labels)])
         m = construct.from_matrix(matrix, labels=labels, name=name)
     elif fmt == "graph":
         vertices = _require(doc, "vertices", str(path))

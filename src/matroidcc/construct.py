@@ -1,15 +1,16 @@
 """Matroid constructors: uniform, linear over small prime fields, graphic,
 named catalog entries, and seeded random linear instances.
 
-A linear matroid's circuits come from a depth-first walk over its
-independent column sets, which extends one echelon basis a column at a
-time (``from_matrix``).  A graphic matroid is the linear matroid of its
-vertex-edge incidence matrix over GF(2), so ``from_graph`` builds that
-matrix and runs the same walk.  Each named matroid is defined once, by
-``named_source`` (a matrix, a graph, or None for the non-representable
-Vámos matroid): ``named`` builds from it and ``matroidcc catalog`` writes
-it out.  All constructors validate the resulting circuit family, so
-anything built here is safe input for the rest of the package.
+A linear matroid's circuits are the minimal dependent sets met by a
+depth-first walk that extends one echelon basis of independent columns a
+column at a time (``from_matrix``).  A graphic matroid is the linear
+matroid of its vertex-edge incidence matrix over GF(2), so ``from_graph``
+builds that matrix and runs the same walk.  Each named matroid is defined
+once, by ``named_source`` (a matrix, a graph, or None for the
+non-representable Vámos matroid): ``named`` builds from it and
+``matroidcc catalog`` writes it out.  All constructors validate the
+resulting circuit family, so anything built here is safe input for the
+rest of the package.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid
+from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid, minimal_members
 from .errors import CapExceeded, InvalidParameter, UnknownName
 
 FIELD_SIZES = (2, 3, 5, 7)
@@ -114,10 +115,10 @@ def uniform(n: int, k: int, labels: Sequence[str] | None = None) -> Matroid:
     return Matroid(ground, masks, name=f"u{n}_{k}")
 
 
-def _lead(vec: Sequence[int], width: int) -> int:
-    """Index of the first nonzero among the first ``width`` entries, or -1."""
-    for i in range(width):
-        if vec[i]:
+def _lead(vec: Sequence[int]) -> int:
+    """Index of the first nonzero entry, or -1."""
+    for i, x in enumerate(vec):
+        if x:
             return i
     return -1
 
@@ -147,7 +148,7 @@ def gf_rank(vectors: Iterable[Sequence[int]], p: int) -> int:
         reduced = [x % p for x in vec]
         for lead, row in basis:
             reduced = _eliminate(reduced, row, lead, p)
-        lead = _lead(reduced, len(reduced))
+        lead = _lead(reduced)
         if lead >= 0:
             basis.append((lead, _unit_lead(reduced, lead, p)))
     return len(basis)
@@ -163,11 +164,12 @@ def from_matrix(
     Circuits come from a depth-first walk over the independent column sets
     in lex order.  Every column after the last chosen one is kept reduced
     against the echelon rows of the chosen columns, so extending the set by
-    a column costs one reduction step per later column.  Each vector also
-    carries, in one slot per depth, its coefficients over the chosen
-    columns; a column that reduces to zero closes its fundamental circuit,
-    named by the nonzero slots, and drops out of the walk below that set.
-    Every circuit C turns up at the independent set C - max(C).
+    a column costs one reduction step per later column.  A column that
+    reduces to zero makes the chosen set plus itself dependent: the walk
+    records that set and drops the column below the chosen set.  Every
+    circuit C is recorded at the independent set C - max(C), and every
+    recorded set is dependent, so the circuits are the minimal recorded
+    sets (``minimal_members``).
     """
     cols = matrix.columns
     n = len(cols)
@@ -181,38 +183,27 @@ def from_matrix(
     if ground.size != n:
         raise InvalidParameter("label count does not match the column count")
     p = matrix.p
-    rows = matrix.rows
-    found: set[int] = set()
-    chosen: list[int] = []
+    dependent: list[int] = []
 
-    # A candidate (j, vec): the first ``rows`` entries of vec are column j
-    # plus the sum of vec[rows + d] times column chosen[d].
-    def extend(candidates: list[tuple[int, list[int]]]) -> None:
-        depth = len(chosen)
+    # ``chosen`` is the independent set as a mask; each candidate (j, vec)
+    # is column j reduced against the echelon rows of the chosen columns.
+    def extend(chosen: int, candidates: list[tuple[int, list[int]]]) -> None:
         live = []
         for j, vec in candidates:
-            lead = _lead(vec, rows)
+            lead = _lead(vec)
             if lead >= 0:
                 live.append((j, vec, lead))
-                continue
-            mask = 1 << j
-            for d in range(depth):
-                if vec[rows + d]:
-                    mask |= 1 << chosen[d]
-            found.add(mask)
+            else:
+                dependent.append(chosen | 1 << j)
         # The last live column has no later column left to test.
         for i in range(len(live) - 1):
             j, vec, lead = live[i]
             row = _unit_lead(vec, lead, p)
-            # Column j's own coefficient, scaled with the rest of the row.
-            row[rows + depth] = pow(vec[lead], p - 2, p)
-            chosen.append(j)
-            extend([(k, _eliminate(v, row, lead, p)) for k, v, _ in live[i + 1:]])
-            chosen.pop()
+            later = [(k, _eliminate(v, row, lead, p)) for k, v, _ in live[i + 1:]]
+            extend(chosen | 1 << j, later)
 
-    # The rank, and so the depth, is at most the row count.
-    extend([(j, list(col) + [0] * min(rows, n)) for j, col in enumerate(cols)])
-    return Matroid(ground, found, name=name)
+    extend(0, [(j, list(col)) for j, col in enumerate(cols)])
+    return Matroid(ground, minimal_members(n, dependent), name=name)
 
 
 def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:

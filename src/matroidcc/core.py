@@ -177,6 +177,15 @@ def contains_smaller_member(dependent: Callable[[int], int], mask: int) -> bool:
     return False
 
 
+def minimal_members(n: int, masks: Iterable[int]) -> list[int]:
+    """The distinct members of ``masks`` that contain no other member: of a
+    family of dependent sets that holds every circuit, exactly the circuits
+    (Oxley, Matroid Theory, §1.1: circuits are minimal dependent sets)."""
+    family = set(masks)
+    dependent = dependence_test(n, family)
+    return [m for m in family if not contains_smaller_member(dependent, m)]
+
+
 def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
     """C3 for an antichain without the empty set, decided on all 2^n
     subsets at once.

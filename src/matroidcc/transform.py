@@ -18,8 +18,7 @@ from .core import (
     Matroid,
     cocircuit_masks,
     compress_masks,
-    contains_smaller_member,
-    dependence_test,
+    minimal_members,
 )
 from .errors import InvalidParameter, OverlappingSpec, TheoremViolation
 
@@ -99,12 +98,10 @@ def contract(m: Matroid, removed: ElemSet) -> Matroid:
         raise InvalidParameter("removed set over a different ground set")
     if not removed:
         return m
-    keep = ~removed.mask
-    reduced = {c & keep for c in m.circuits.masks if c & keep}
-    dependent = dependence_test(m.size, reduced)
-    minimal = [c for c in reduced if not contains_smaller_member(dependent, c)]
     kept = removed.complement()
-    return Matroid(GroundSet(kept.labels()), compress_masks(minimal, kept.mask), validate=False)
+    reduced = {c & kept.mask for c in m.circuits.masks if c & kept.mask}
+    minimal = minimal_members(len(kept), compress_masks(reduced, kept.mask))
+    return Matroid(GroundSet(kept.labels()), minimal, validate=False)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:

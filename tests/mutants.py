@@ -27,12 +27,15 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 
 ANALYZE = "src/matroidcc/analyze.py"
 CLI = "src/matroidcc/cli.py"
+CONSTRUCT = "src/matroidcc/construct.py"
 CORE = "src/matroidcc/core.py"
 
 # pytest selections the mutants run.
 EXTRACTION = ("tests/test_analyze.py", "-k", "extract or search_viable")
 PAIR_SCAN = ("tests/test_analyze.py", "-k", "achieved or count_planes")
 TABLE_DUAL = ("tests/test_core.py", "-k", "table_dual")
+ENUMERATION = ("tests/test_construct.py", "-k", "oracle")
+MINIMALITY = ("tests/test_construct.py", "tests/test_transform.py", "-k", "oracle")
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
 TEXT_REPORT = ("tests/test_cli.py", "-k", "text_report")
 
@@ -60,6 +63,20 @@ MUTANTS = (
         "spanning = independent & ~extendable  # the bases",
         "spanning = independent  # the bases",
         TABLE_DUAL,
+    ),
+    Mutant(
+        "minimal-members-returns-the-whole-family",
+        CORE,
+        "return [m for m in family if not contains_smaller_member(dependent, m)]",
+        "return list(family)",
+        MINIMALITY,
+    ),
+    Mutant(
+        "walk-skips-the-second-to-last-live-column",
+        CONSTRUCT,
+        "for i in range(len(live) - 1):",
+        "for i in range(len(live) - 2):",
+        ENUMERATION,
     ),
     Mutant(
         "ranks-without-contracted-set",

@@ -234,9 +234,11 @@ def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, mo
         ({**FANO_DOC, "field": 2.0}, "got 2.0"),
         ({**K4_DOC, "vertices": True}, "int vertex count"),
         ({**K4_DOC, "edges": [[False, True, "a"]] + K4_DOC["edges"]}, "[u, v, label] triples"),
+        # No rows over two labels: two zero columns, two loops.
+        ({**FANO_DOC, "labels": ["a", "b"], "rows": []}, "degenerate rank-0 matroid rejected"),
     ],
     ids=["string-circuit", "entry-x", "entry-1.5", "rows-int", "field-str", "field-float",
-         "vertices-true", "endpoint-bool"],
+         "vertices-true", "endpoint-bool", "rows-empty"],
 )
 def test_verify_rejects_mistyped_fields_with_one_line(tmp_path, capsys, doc, message):
     rc = cli.main(["verify", write(tmp_path, "bad.json", doc)])
@@ -354,9 +356,23 @@ def test_non_utf8_file_names_need_a_name_field(tmp_path, command):
     assert rc == 2 and out == ""
     assert 'add a "name" field' in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    # An empty name counts as none.
+    path.write_text(json.dumps({**FANO_DOC, "name": ""}), encoding="utf-8")
+    assert run()[:2] == (2, "")
     # With the field, the same file is accepted.
     path.write_text(json.dumps(FANO_DOC), encoding="utf-8")
     assert run()[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, head",
+    [("verify", "== plane (7 elements"), ("inspect", "plane: 7 elements")],
+    ids=["verify", "inspect"],
+)
+def test_an_empty_name_falls_back_to_the_file_stem(tmp_path, capsys, command, head):
+    path = write(tmp_path, "plane.json", {**FANO_DOC, "name": ""})
+    assert cli.main([command, path]) == 0
+    assert capsys.readouterr().out.startswith(head)
 
 
 @pytest.mark.parametrize("command", ["verify", "inspect"])

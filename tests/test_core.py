@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
@@ -228,6 +228,30 @@ def test_dependence_test_beyond_table_size_scans(family, subsets):
     for s in subsets + masks:
         s &= (1 << n) - 1
         assert bool(dependent(s)) == any(m & ~s == 0 for m in masks)
+
+
+@st.composite
+def nested_families(draw, min_n: int, max_n: int) -> tuple[int, list[int]]:
+    """Unions of two masks from a small pool: members repeat, nest often,
+    and the pool may hold the empty set."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pool = draw(st.lists(masks, min_size=1, max_size=6))
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return n, [a | b for a, b in draw(st.lists(pairs, max_size=16))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(nested_families(0, 8), nested_families(21, 24)))
+@example((3, [0b011, 0b011, 0b111, 0b100, 0b110]))
+@example((4, [0b1010, 0, 0b1010, 0]))
+@example((22, [0b11 << 20, 0b11 << 20, 1 << 21 | 1, 1 << 21]))
+def test_minimal_members_matches_brute_force(family):
+    # Above MAX_SCAN the dependence test scans instead of building a table.
+    n, masks = family
+    got = mc.core.minimal_members(n, masks)
+    want = {m for m in masks if not any(o & ~m == 0 and o != m for o in masks)}
+    assert len(got) == len(want) and set(got) == want
 
 
 def assert_same_report(n: int, masks: list[int]) -> mc.AxiomReport:
