@@ -12,10 +12,9 @@ k = 4, 5, 6, lifted back to the original matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import ElemSet, Matroid, bit_indices
+from .core import ElemSet, Matroid, Record, bit_indices
 from .errors import (
     CapExceeded,
     ExtractionFailed,
@@ -29,12 +28,21 @@ from .transform import MinorSpec, cocircuits, dual, minor
 DEFAULT_PAIR_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class CCIntersection:
+class CCIntersection(Record):
     """A circuit and a cocircuit that meet."""
 
-    circuit: ElemSet
-    cocircuit: ElemSet
+    __slots__ = ("circuit", "cocircuit")
+
+    def __init__(self, circuit: ElemSet, cocircuit: ElemSet) -> None:
+        self.circuit = circuit
+        self.cocircuit = cocircuit
+        if self.size == 0:
+            raise InvalidParameter("disjoint circuit/cocircuit pair")
+        if self.size == 1:
+            raise TheoremViolation(
+                "circuit-cocircuit intersection of size 1; "
+                "a circuit and a cocircuit can never meet in a single element"
+            )
 
     @property
     def intersection(self) -> ElemSet:
@@ -43,15 +51,6 @@ class CCIntersection:
     @property
     def size(self) -> int:
         return len(self.intersection)
-
-    def __post_init__(self) -> None:
-        if self.size == 0:
-            raise InvalidParameter("disjoint circuit/cocircuit pair")
-        if self.size == 1:
-            raise TheoremViolation(
-                "circuit-cocircuit intersection of size 1; "
-                "a circuit and a cocircuit can never meet in a single element"
-            )
 
 
 def _pair_lists(m: Matroid, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -187,8 +186,7 @@ def find_intersection_of_size(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OxleyMinor:
+class OxleyMinor(Record):
     """A minor in which the intersection X is both a circuit and a cocircuit.
 
     Fields live over the minor's own ground set except ``spec``, which is
@@ -196,11 +194,16 @@ class OxleyMinor:
     sets translate between the two by label.
     """
 
-    spec: MinorSpec
-    minor: Matroid
-    x: ElemSet
-    y: ElemSet
-    k: int
+    __slots__ = ("spec", "minor", "x", "y", "k")
+
+    def __init__(
+        self, spec: MinorSpec, minor: Matroid, x: ElemSet, y: ElemSet, k: int
+    ) -> None:
+        self.spec = spec
+        self.minor = minor
+        self.x = x
+        self.y = y
+        self.k = k
 
     def invariant_failures(self) -> tuple[str, ...]:
         """Re-verify every defining invariant; empty tuple means all hold."""
@@ -412,13 +415,17 @@ def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
     return members
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     """One property suite's outcome, with how often each law was exercised."""
 
-    status: str  # "pass" | "fail" | "vacuous"
-    exercised: dict[str, int]
-    failure: str | None = None
+    __slots__ = ("status", "exercised", "failure")
+
+    def __init__(
+        self, status: str, exercised: dict[str, int], failure: str | None = None
+    ) -> None:
+        self.status = status  # "pass" | "fail" | "vacuous"
+        self.exercised = exercised
+        self.failure = failure
 
 
 def check_ce_families(ox: OxleyMinor) -> SuiteResult:
@@ -768,17 +775,21 @@ def lift_intersection(
     return lifted_c, lifted_d
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record):
     """Audit trail from a size-k intersection down to size k - 2: the
     extracted minor, the size-(k - 2) pair inside it (found by
     ``witness_k4``/``witness_k5``, or by oracle search for k = 6), and that
     pair lifted back to the input matroid."""
 
-    k: int
-    minor: OxleyMinor
-    inner: CCIntersection
-    final: CCIntersection
+    __slots__ = ("k", "minor", "inner", "final")
+
+    def __init__(
+        self, k: int, minor: OxleyMinor, inner: CCIntersection, final: CCIntersection
+    ) -> None:
+        self.k = k
+        self.minor = minor
+        self.inner = inner
+        self.final = final
 
 
 # ---------------------------------------------------------------------------
@@ -786,19 +797,42 @@ class WitnessChain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(Record):
     """Per-matroid verification outcome for the achieved sizes 4, 5, 6."""
 
-    name: str
-    elements: int
-    rank: int
-    circuit_count: int
-    cocircuit_count: int
-    achieved: tuple[int, ...]
-    entries: tuple[WitnessChain, ...]
-    out_of_scope: tuple[tuple[int, bool], ...]
-    suites: dict[str, SuiteResult]
+    __slots__ = (
+        "name",
+        "elements",
+        "rank",
+        "circuit_count",
+        "cocircuit_count",
+        "achieved",
+        "entries",
+        "out_of_scope",
+        "suites",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        elements: int,
+        rank: int,
+        circuit_count: int,
+        cocircuit_count: int,
+        achieved: tuple[int, ...],
+        entries: tuple[WitnessChain, ...],
+        out_of_scope: tuple[tuple[int, bool], ...],
+        suites: dict[str, SuiteResult],
+    ) -> None:
+        self.name = name
+        self.elements = elements
+        self.rank = rank
+        self.circuit_count = circuit_count
+        self.cocircuit_count = cocircuit_count
+        self.achieved = achieved
+        self.entries = entries
+        self.out_of_scope = out_of_scope
+        self.suites = suites
 
     @property
     def vacuous(self) -> bool:

@@ -191,24 +191,39 @@ _SCALAR_WRITERS = {
 }
 
 
+# Each key as written before its value, filled as keys are first met.
+_KEY_PREFIXES: dict[str, str] = {}
+
+
 def _indented(value: Any, pad: str) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, where ``pad`` is
     the newline and indent of the line ``value`` starts on.  The standard
     library writes indented JSON through its pure-Python encoder; joining
-    each container's items at once takes about half the time."""
-    writer = _SCALAR_WRITERS.get(type(value))
-    if writer is not None:
-        return writer(value)
+    each container's items at once, writing scalar items in place and
+    encoding each key once take about a third of its time."""
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        items = []
+        for k, v in value.items():
+            key = _KEY_PREFIXES.get(k)
+            if key is None:
+                key = _KEY_PREFIXES[k] = encode_basestring(k) + ": "
+            writer = _SCALAR_WRITERS.get(type(v))
+            items.append(key + (writer(v) if writer is not None else _indented(v, inner)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + pad + "]"
+        items = []
+        for v in value:
+            writer = _SCALAR_WRITERS.get(type(v))
+            items.append(writer(v) if writer is not None else _indented(v, inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    writer = _SCALAR_WRITERS.get(type(value))
+    if writer is not None:
+        return writer(value)
     return json.dumps(value)
 
 

@@ -1,11 +1,12 @@
 """Matroid constructors: uniform, linear over small prime fields, graphic,
 named catalog entries, and seeded random linear instances.
 
-A linear matroid's circuits are the minimal dependent sets met by a
-depth-first walk that extends one echelon basis of independent columns a
-column at a time (``from_matrix``).  A graphic matroid is the linear
-matroid of its vertex-edge incidence matrix over GF(2), so ``from_graph``
-builds that matrix and runs the same walk.  Each named matroid is defined
+A linear matroid's circuits are the minimal supports of its kernel
+vectors, and its cocircuits those of its row space; ``from_matrix`` row
+reduces once and enumerates the smaller of the two spaces in one
+byte-vectorised pass.  A graphic matroid is the linear matroid of its
+vertex-edge incidence matrix over GF(2), so ``from_graph`` builds that
+matrix and hands it to ``from_matrix``.  Each named matroid is defined
 once, by ``named_source`` (a matrix, a graph, or None for the
 non-representable Vámos matroid): ``named`` builds from it and
 ``matroidcc catalog`` writes it out.  All constructors validate the
@@ -16,10 +17,18 @@ rest of the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import sys
 from typing import Iterable, Iterator, Sequence
 
-from .core import MAX_GROUND, MAX_SCAN, GroundSet, Matroid, minimal_members
+from .core import (
+    MAX_GROUND,
+    MAX_SCAN,
+    GroundSet,
+    Matroid,
+    Record,
+    cocircuit_masks,
+    minimal_members,
+)
 from .errors import CapExceeded, InvalidParameter, UnknownName
 
 FIELD_SIZES = (2, 3, 5, 7)
@@ -34,23 +43,23 @@ def _check_field(p: object) -> None:
         raise InvalidParameter(f"field size must be one of {FIELD_SIZES}, got {p!r}")
 
 
-@dataclass(frozen=True)
-class MatrixOverGF:
+class MatrixOverGF(Record):
     """Column-major matrix over GF(p); column j represents element j."""
 
-    p: int
-    rows: int
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "rows", "columns")
 
-    def __post_init__(self) -> None:
-        _check_field(self.p)
-        if self.rows < 0:
+    def __init__(self, p: int, rows: int, columns: tuple[tuple[int, ...], ...]) -> None:
+        _check_field(p)
+        if rows < 0:
             raise InvalidParameter("row count must be non-negative")
-        for col in self.columns:
-            if len(col) != self.rows:
+        for col in columns:
+            if len(col) != rows:
                 raise InvalidParameter("all columns must have the declared length")
-            if any(not (0 <= x < self.p) for x in col):
+            if any(not (0 <= x < p) for x in col):
                 raise InvalidParameter("entries must be reduced mod p")
+        self.p = p
+        self.rows = rows
+        self.columns = columns
 
     @classmethod
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "MatrixOverGF":
@@ -70,27 +79,27 @@ class MatrixOverGF:
         return cls(p=p, rows=height, columns=cols)
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Record):
     """Multigraph given by a vertex count and labelled edges.
 
     Loops (u == v) and parallel edges are allowed; edge labels must be
     pairwise distinct since they become the matroid's elements.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, str], ...]
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, str], ...]) -> None:
+        if vertex_count < 0:
             raise InvalidParameter("vertex count must be non-negative")
         seen: set[str] = set()
-        for u, v, lab in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for u, v, lab in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidParameter(f"edge ({u},{v}) out of vertex range")
             if lab in seen:
                 raise InvalidParameter(f"duplicate edge label {lab!r}")
             seen.add(lab)
+        self.vertex_count = vertex_count
+        self.edges = edges
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -139,10 +148,11 @@ def _eliminate(vec: list[int], row: Sequence[int], lead: int, p: int) -> list[in
     return [(a - c * b) % p for a, b in zip(vec, row)]
 
 
-def gf_rank(vectors: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of a set of vectors over GF(p), by Gaussian elimination: each
-    vector is reduced against the echelon rows kept so far and becomes a
-    new row unless it reduces to zero."""
+def _echelon(vectors: Iterable[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+    """Reduced row echelon basis of the span of ``vectors`` over GF(p), as
+    (lead, row) pairs: each row is 1 at its own lead and 0 at every other
+    row's.  Each vector is reduced against the rows kept so far; unless it
+    reduces to zero it becomes a new row and is cleared from the others."""
     basis: list[tuple[int, list[int]]] = []
     for vec in vectors:
         reduced = [x % p for x in vec]
@@ -150,8 +160,92 @@ def gf_rank(vectors: Iterable[Sequence[int]], p: int) -> int:
             reduced = _eliminate(reduced, row, lead, p)
         lead = _lead(reduced)
         if lead >= 0:
-            basis.append((lead, _unit_lead(reduced, lead, p)))
-    return len(basis)
+            new = _unit_lead(reduced, lead, p)
+            basis = [(at, _eliminate(row, new, lead, p)) for at, row in basis]
+            basis.append((lead, new))
+    return basis
+
+
+def gf_rank(vectors: Iterable[Sequence[int]], p: int) -> int:
+    """Rank of a set of vectors over GF(p), by Gaussian elimination."""
+    return len(_echelon(vectors, p))
+
+
+# Coefficient vectors per block of the support pass: the low coefficients
+# run over all their values inside bytes objects of at most this many cells.
+_BLOCK_CELLS = 1 << 16
+
+
+def _span_supports(vectors: Sequence[Sequence[int]], n: int, p: int) -> set[int]:
+    """Supports, as masks over n coordinates, of one vector per projective
+    point of the span of the independent ``vectors`` over GF(p): the
+    combinations whose last nonzero coefficient is 1.
+
+    For the last nonzero coefficient at l, the coefficients below l split
+    into low ones (at most ``_BLOCK_CELLS`` combinations) and high ones.
+    Each element's coordinate over every low combination is one bytes
+    object, one byte per combination, built by ``bytes.translate`` with
+    add-tables and concatenation.  A Python odometer runs over the high
+    coefficients.  Per setting, one more translate turns each element's
+    coordinate, shifted by the offset of coefficient l and the high ones,
+    into its bit of a byte; the ints of the eight elements that share a
+    byte are OR-ed, the bytes are interleaved into cells of up to four,
+    and each cell, read as one int, is one support.
+    """
+    width = 1 if n <= 8 else 2 if n <= 16 else 4
+    cell_format = {1: "B", 2: "H", 4: "I"}[width]
+    # (byte of the cell in memory, its elements) for each byte of a support
+    lanes = [
+        (q if sys.byteorder == "little" else width - 1 - q, range(8 * q, min(n, 8 * q + 8)))
+        for q in range((n + 7) >> 3)
+    ]
+    pad = bytes(256 - p)
+    add = [bytes((x + t) % p for x in range(p)) + pad for t in range(p)]
+    bit = [
+        [bytes(1 << b if (x + o) % p else 0 for x in range(p)) + pad for o in range(p)]
+        for b in range(8)
+    ]
+    d = len(vectors)
+    low = 0
+    while low + 1 < d and p ** (low + 1) <= _BLOCK_CELLS:
+        low += 1
+    # stages[m][j]: element j's coordinate over every combination of the
+    # first m coefficients.
+    stages = [[b"\x00"] * n]
+    for m in range(low):
+        stages.append([
+            b"".join(cells.translate(add[t * v % p]) for t in range(p))
+            for cells, v in zip(stages[m], vectors[m])
+        ])
+    supports: set[int] = set()
+    for l in range(d):
+        m = min(l, low)
+        stage = stages[m]
+        count = len(stage[0])
+        packed = bytearray(width * count)
+        high = l - m
+        digits = [0] * high
+        # levels[i]: the offsets from coefficient l and the high digits i and up.
+        levels = [list(vectors[l])] * (high + 1)
+        while True:
+            offsets = levels[0]
+            for lane, elements in lanes:
+                acc = 0
+                for j in elements:
+                    hits = stage[j].translate(bit[j & 7][offsets[j]])
+                    acc |= int.from_bytes(hits, "little")
+                packed[lane::width] = acc.to_bytes(count, "little")
+            supports.update(memoryview(packed).cast(cell_format))
+            i = 0
+            while i < high and digits[i] == p - 1:
+                digits[i] = 0
+                i += 1
+            if i == high:
+                break
+            digits[i] += 1
+            levels[i] = [(o + v) % p for o, v in zip(levels[i], vectors[m + i])]
+            levels[:i] = [levels[i]] * i
+    return supports
 
 
 def from_matrix(
@@ -161,15 +255,13 @@ def from_matrix(
 ) -> Matroid:
     """Linear matroid of the matrix columns over GF(p).
 
-    Circuits come from a depth-first walk over the independent column sets
-    in lex order.  Every column after the last chosen one is kept reduced
-    against the echelon rows of the chosen columns, so extending the set by
-    a column costs one reduction step per later column.  A column that
-    reduces to zero makes the chosen set plus itself dependent: the walk
-    records that set and drops the column below the chosen set.  Every
-    circuit C is recorded at the independent set C - max(C), and every
-    recorded set is dependent, so the circuits are the minimal recorded
-    sets (``minimal_members``).
+    The circuits of M[A] are the minimal supports of the nonzero vectors
+    x with Ax = 0, and its cocircuits those of the nonzero vectors in A's
+    row space (Oxley, Matroid Theory, ch. 2 and §9.2).  One row reduction
+    gives the rank r and a basis of both spaces; the smaller one, of
+    dimension min(n - r, r), is enumerated (``_span_supports``).  The
+    kernel's minimal supports are the circuits; the row space's supports
+    give them through the table dual (``cocircuit_masks``).
     """
     cols = matrix.columns
     n = len(cols)
@@ -183,27 +275,23 @@ def from_matrix(
     if ground.size != n:
         raise InvalidParameter("label count does not match the column count")
     p = matrix.p
-    dependent: list[int] = []
-
-    # ``chosen`` is the independent set as a mask; each candidate (j, vec)
-    # is column j reduced against the echelon rows of the chosen columns.
-    def extend(chosen: int, candidates: list[tuple[int, list[int]]]) -> None:
-        live = []
-        for j, vec in candidates:
-            lead = _lead(vec)
-            if lead >= 0:
-                live.append((j, vec, lead))
-            else:
-                dependent.append(chosen | 1 << j)
-        # The last live column has no later column left to test.
-        for i in range(len(live) - 1):
-            j, vec, lead = live[i]
-            row = _unit_lead(vec, lead, p)
-            later = [(k, _eliminate(v, row, lead, p)) for k, v, _ in live[i + 1:]]
-            extend(chosen | 1 << j, later)
-
-    extend(0, [(j, list(col)) for j, col in enumerate(cols)])
-    return Matroid(ground, minimal_members(n, dependent), name=name)
+    rows = _echelon(zip(*cols), p)
+    if n - len(rows) > len(rows):
+        supports = _span_supports([row for _, row in rows], n, p)
+        return Matroid(ground, cocircuit_masks(n, supports), name=name)
+    # One kernel vector per column f outside the leads: 1 at f, and minus
+    # each row's entry at f at that row's lead.
+    leads = {lead for lead, _ in rows}
+    kernel = []
+    for f in range(n):
+        if f not in leads:
+            vec = [0] * n
+            vec[f] = 1
+            for lead, row in rows:
+                vec[lead] = -row[f] % p
+            kernel.append(vec)
+    supports = _span_supports(kernel, n, p)
+    return Matroid(ground, minimal_members(n, supports), name=name)
 
 
 def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
@@ -211,8 +299,9 @@ def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:
 
     It is the GF(2) linear matroid of the vertex-edge incidence matrix
     (Oxley, Matroid Theory, §5.1), so this builds that matrix and leaves
-    the walk to ``from_matrix``.  Only vertices that some edge touches get
-    a row, in ascending order, so the vertex count itself costs nothing.
+    the enumeration to ``from_matrix``.  Only vertices that some edge
+    touches get a row, in ascending order, so the vertex count itself
+    costs nothing.
     A loop's column is zero, a 1-circuit;
     parallel edges have equal columns, a 2-circuit.
     """

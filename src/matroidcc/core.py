@@ -11,14 +11,13 @@ for larger ones by a linear scan of the circuits.  The same table gives
 the cocircuits, and so the hyperplanes and the dual, in a few whole-table
 shift-and-mask passes (``cocircuit_masks``).  The canonical order
 used everywhere is by cardinality, then lexicographically by element
-index; every deterministic tie-break in the package relies on it.  All
-types are immutable after construction (caches fill idempotently).
+index; every deterministic tie-break in the package relies on it.  No
+object is changed after construction (caches fill idempotently).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -153,10 +152,17 @@ def cocircuit_masks(n: int, masks: Iterable[int]) -> list[int]:
     nonspanning = (full ^ spanning).to_bytes(len(raw), "little")
     reversed_bits = int.from_bytes(nonspanning.translate(_BYTE_REVERSED), "big")
     codependent = reversed_bits >> (8 * len(raw) - size)
+    return _minimal_sets(n, codependent)
+
+
+def _minimal_sets(n: int, closed: int) -> list[int]:
+    """The minimal sets, in increasing mask value, of an upward-closed
+    family given as a 2^n-bit int: the sets in it that are not in it
+    shifted up by one element."""
     larger = 0
-    for width, lack in lacking:
-        larger |= (codependent & lack) << width
-    minimal = (codependent & ~larger).to_bytes(len(raw), "little")
+    for width, lack in _lacking(n):
+        larger |= (closed & lack) << width
+    minimal = (closed & ~larger).to_bytes(max(1, (1 << n) >> 3), "little")
     out = []
     for hit in re.finditer(rb"[^\x00]", minimal):
         byte = hit.start()
@@ -180,7 +186,13 @@ def contains_smaller_member(dependent: Callable[[int], int], mask: int) -> bool:
 def minimal_members(n: int, masks: Iterable[int]) -> list[int]:
     """The distinct members of ``masks`` that contain no other member: of a
     family of dependent sets that holds every circuit, exactly the circuits
-    (Oxley, Matroid Theory, §1.1: circuits are minimal dependent sets)."""
+    (Oxley, Matroid Theory, §1.1: circuits are minimal dependent sets).
+
+    Up to ``MAX_SCAN`` elements they are the minimal sets of the family's
+    ``dependency_table``; beyond it each member is tested by a scan.
+    """
+    if n <= MAX_SCAN:
+        return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))
     family = set(masks)
     dependent = dependence_test(n, family)
     return [m for m in family if not contains_smaller_member(dependent, m)]
@@ -241,6 +253,28 @@ def dependence_test(n: int, masks: Iterable[int]) -> Callable[[int], int]:
         return False
 
     return scan
+
+
+class Record:
+    """Base of the package's plain value types: ``==``, ``hash`` and
+    ``repr`` over the fields named in ``__slots__``, in order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class GroundSet:
@@ -315,16 +349,26 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class ElemSet:
     """Subset of a ground set, stored as a bitmask."""
 
-    ground: GroundSet
-    mask: int
+    __slots__ = ("ground", "mask")
 
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask & ~self.ground.full_mask:
+    def __init__(self, ground: GroundSet, mask: int) -> None:
+        if mask < 0 or mask & ~ground.full_mask:
             raise InvalidParameter("subset mask has bits outside its ground set")
+        self.ground = ground
+        self.mask = mask
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ElemSet)
+            and self.mask == other.mask
+            and self.ground == other.ground
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.mask))
 
     def _check(self, other: "ElemSet") -> None:
         if self.ground != other.ground:
@@ -442,14 +486,22 @@ class CircuitFamily:
         return f"CircuitFamily({len(self.sets)} circuits)"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of circuit-axiom validation; failure carries a witness."""
 
-    ok: bool
-    axiom: str | None = None
-    witnesses: tuple[ElemSet, ...] = ()
-    element: str | None = None
+    __slots__ = ("ok", "axiom", "witnesses", "element")
+
+    def __init__(
+        self,
+        ok: bool,
+        axiom: str | None = None,
+        witnesses: tuple[ElemSet, ...] = (),
+        element: str | None = None,
+    ) -> None:
+        self.ok = ok
+        self.axiom = axiom
+        self.witnesses = witnesses
+        self.element = element
 
     def describe(self) -> str:
         if self.ok:

@@ -9,13 +9,12 @@ against this construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CircuitFamily,
     ElemSet,
     GroundSet,
     Matroid,
+    Record,
     cocircuit_masks,
     compress_masks,
     minimal_members,
@@ -23,20 +22,20 @@ from .core import (
 from .errors import InvalidParameter, OverlappingSpec, TheoremViolation
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """Disjoint (deleted, contracted) pair over one parent ground set."""
 
-    deleted: ElemSet
-    contracted: ElemSet
+    __slots__ = ("deleted", "contracted")
 
-    def __post_init__(self) -> None:
-        if self.deleted.ground != self.contracted.ground:
+    def __init__(self, deleted: ElemSet, contracted: ElemSet) -> None:
+        if deleted.ground != contracted.ground:
             raise InvalidParameter("delete and contract sets over different grounds")
-        if not self.deleted.isdisjoint(self.contracted):
+        if not deleted.isdisjoint(contracted):
             raise OverlappingSpec(
-                f"delete and contract sets overlap: {self.deleted & self.contracted!r}"
+                f"delete and contract sets overlap: {deleted & contracted!r}"
             )
+        self.deleted = deleted
+        self.contracted = contracted
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "MinorSpec":

@@ -65,17 +65,24 @@ MUTANTS = (
         TABLE_DUAL,
     ),
     Mutant(
-        "minimal-members-returns-the-whole-family",
+        "minimal-members-shifts-the-members",
         CORE,
-        "return [m for m in family if not contains_smaller_member(dependent, m)]",
-        "return list(family)",
+        'return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))',
+        'return _minimal_sets(n, int.from_bytes(_member_bits(n, masks), "little"))',
         MINIMALITY,
     ),
     Mutant(
-        "walk-skips-the-second-to-last-live-column",
+        "odometer-skips-the-offset-update-on-a-carry",
         CONSTRUCT,
-        "for i in range(len(live) - 1):",
-        "for i in range(len(live) - 2):",
+        "levels[:i] = [levels[i]] * i",
+        "pass",
+        ENUMERATION,
+    ),
+    Mutant(
+        "row-space-supports-taken-as-circuits",
+        CONSTRUCT,
+        "cocircuit_masks(n, supports)",
+        "minimal_members(n, supports)",
         ENUMERATION,
     ),
     Mutant(

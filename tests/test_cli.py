@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -680,3 +681,21 @@ def test_tracer_finds_every_planned_function(bench_tracer):
         assert tracer.missing == []
         assert construct.gf_rank is not original
     assert construct.gf_rank is original
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, and each
+    # decorated class would exec generated code at every start-up.
+    src = Path(mc.__file__).resolve().parent.parent
+    code = (
+        "import sys, matroidcc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -155,6 +155,46 @@ def test_from_matrix_matches_oracle_on_the_scale_matrix(bench_inputs):
     assert sorted(m.circuits.masks) == oracles.linear_circuit_masks(matrix.columns, p)
 
 
+def test_from_matrix_matches_oracle_on_a_gf7_matrix_with_a_high_coefficient():
+    # Seven kernel vectors over GF(7): the last coefficient's block leaves
+    # one coefficient to the odometer.
+    matrix = mc.random_matrix(3, 14, 7, 7)
+    m = mc.from_matrix(matrix)
+    assert m.rank() == 7
+    assert sorted(m.circuits.masks) == oracles.linear_circuit_masks(matrix.columns, 7)
+
+
+@pytest.mark.parametrize("p, shapes", [(5, ((10, 5), (8, 4))), (3, ((10, 5), (10, 5)))])
+def test_from_matrix_matches_oracle_blockwise_on_block_diagonal_matrices(p, shapes):
+    # Nine or ten kernel vectors on 18 or 20 columns: elements reach the
+    # third byte of a support cell and, over GF(5), the odometer carries.
+    # The circuits of a direct sum are its blocks' circuits.
+    columns: list[tuple[int, ...]] = []
+    want: list[int] = []
+    height = sum(r for _, r in shapes)
+    top = 0
+    for seed, (n, r) in enumerate(shapes):
+        block = mc.random_matrix(seed + 1, n, r, p).columns
+        shift = len(columns)
+        want += [c << shift for c in oracles.linear_circuit_masks(block, p)]
+        columns += [(0,) * top + col + (0,) * (height - top - r) for col in block]
+        top += r
+    m = mc.from_matrix(MatrixOverGF(p, height, tuple(columns)))
+    assert m.rank() == height
+    assert sorted(m.circuits.masks) == sorted(want)
+
+
+@pytest.mark.parametrize("p, n, r", [(2, 9, 3), (3, 12, 4), (5, 10, 3), (7, 9, 2)])
+def test_row_space_supports_give_the_table_dual_cocircuits(p, n, r):
+    # The minimal supports of the row space are the cocircuits; the table
+    # dual reads them off the circuits instead.
+    matrix = mc.random_matrix(11, n, r, p)
+    rows = [row for _, row in mc.construct._echelon(zip(*matrix.columns), p)]
+    supports = mc.construct._span_supports(rows, n, p)
+    cocircuits = mc.transform.cocircuits(mc.from_matrix(matrix))
+    assert sorted(mc.core.minimal_members(n, supports)) == sorted(cocircuits.masks)
+
+
 def test_matrix_field_must_be_small_prime():
     with pytest.raises(mc.InvalidParameter):
         MatrixOverGF(p=4, rows=1, columns=((1,),))
@@ -248,6 +288,11 @@ def test_from_graph_parallel_class_and_long_cycle():
     cycle = mc.from_graph(GraphSpec(16, tuple((i, (i + 1) % 16, f"c{i}") for i in range(16))))
     assert cycle.circuits.masks == ((1 << 16) - 1,)
     assert cycle.rank() == 15
+    path = mc.from_graph(GraphSpec(21, tuple((i, i + 1, f"c{i}") for i in range(20))))
+    assert path.circuits.masks == () and path.rank() == 20
+    cycle = mc.from_graph(GraphSpec(20, tuple((i, (i + 1) % 20, f"c{i}") for i in range(20))))
+    assert cycle.circuits.masks == ((1 << 20) - 1,)
+    assert cycle.rank() == 19
 
 
 def test_graph_spec_validation():
