@@ -2,12 +2,12 @@
 
 This module carries the substantive machinery: brute-force intersection
 enumeration (the oracle everything else is checked against), the achieved
-intersection sizes from one bit-sliced pass over the circuits, extraction
-of a verified minor in which the intersection X becomes both a circuit and
-a cocircuit (a depth-first search that reads ranks of the input through
-one memo per search), the property suites over that minor's special
-circuit families, and the constructive size-(k-2) witnesses for
-k = 4, 5, 6, lifted back to the original matroid.
+intersection sizes and each one's first pair from one bit-sliced pass over
+the circuits, extraction of a verified minor in which the intersection X
+becomes both a circuit and a cocircuit (a depth-first search that reads
+ranks of the input through one memo per search), the property suites over
+that minor's special circuit families, and the constructive size-(k-2)
+witnesses for k = 4, 5, 6, lifted back to the original matroid.
 """
 
 from __future__ import annotations
@@ -115,15 +115,15 @@ def _count_planes(columns: list[int], cm: int) -> tuple[int, int, int, int, int]
     return p0, p1, p2, p3, p4
 
 
-def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
-    """Sorted sizes |C & D| over intersecting pairs; can never contain 1.
+def _first_pairs(m: Matroid, cap: int) -> dict[int, CCIntersection]:
+    """Each achieved size |C & D| -> its canonical-first pair; size 1 raises.
 
     One bit-sliced pass: with bit j of ``columns[e]`` set iff e is in the
     j-th cocircuit, ``_count_planes`` counts a circuit's intersections with
     every cocircuit at once.  Count 1 is tested on every circuit; the
     sizes not seen yet are found together by one descent over the planes,
     which follows a branch only while it holds both cocircuits and wanted
-    sizes.
+    sizes.  A pair is the first of its size in ``cc_intersections`` order.
     """
     cmasks, dmasks = _pair_lists(m, cap)
     columns = [0] * m.size
@@ -134,7 +134,9 @@ def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
             dm ^= low
             columns[low.bit_length() - 1] |= bit
     everyone = (1 << len(dmasks)) - 1
-    seen = 0  # bit v set once size v is achieved
+    g = m.ground
+    first: dict[int, CCIntersection] = {}
+    seen = 0  # bit v set once size v is achieved, so v keeps its first pair
     for cm in cmasks:
         planes = _count_planes(columns, cm)
         p0, p1, p2, p3, p4 = planes
@@ -149,13 +151,15 @@ def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
         # From plane 0 up, split the cocircuits by that bit of their count
         # and the wanted sizes by the same bit; a branch is kept only while
         # it holds both.  After the last plane, ``want`` is the one count of
-        # every cocircuit left in ``mask``.
+        # every cocircuit left in ``mask``, and the lowest of them is first.
         depth = size.bit_length()
         branches = [(everyone, 0, want)]
         while branches:
             mask, d, want = branches.pop()
             if d == depth:
                 seen |= want
+                cocircuit = ElemSet(g, dmasks[(mask & -mask).bit_length() - 1])
+                first[want.bit_length() - 1] = CCIntersection(ElemSet(g, cm), cocircuit)
                 continue
             plane = planes[d]
             ones = want & _VALUE_BIT[d]
@@ -164,21 +168,19 @@ def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
             zeros = want ^ ones
             if zeros and mask & ~plane:
                 branches.append((mask & ~plane, d + 1, zeros))
-    return tuple(v for v in range(seen.bit_length()) if seen >> v & 1)
+    return first
+
+
+def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
+    """Sorted sizes |C & D| over intersecting pairs; can never contain 1."""
+    return tuple(sorted(_first_pairs(m, cap)))
 
 
 def find_intersection_of_size(
     m: Matroid, k: int, cap: int = DEFAULT_PAIR_CAP
 ) -> CCIntersection | None:
     """Canonical-first pair with |C & D| = k, or None."""
-    cmasks, dmasks = _pair_lists(m, cap)
-    g = m.ground
-    for cm in cmasks:
-        for dm in dmasks:
-            meet = cm & dm
-            if meet and meet.bit_count() == k:
-                return CCIntersection(ElemSet(g, cm), ElemSet(g, dm))
-    return None
+    return _first_pairs(m, cap).get(k)
 
 
 # ---------------------------------------------------------------------------
@@ -878,19 +880,17 @@ def verify_conjecture(
     three property suites.
     """
     label = name or m.name or "matroid"
-    sizes = achieved_sizes(m, cap)
+    first = _first_pairs(m, cap)
     entries: list[WitnessChain] = []
     for k in (4, 5, 6):
-        if k not in sizes:
+        if k not in first:
             continue
-        if (k - 2) not in sizes:
+        if (k - 2) not in first:
             raise TheoremViolation(
                 f"{label}: size {k} achieved but size {k - 2} is not; "
                 "this would disprove the theorem and indicates a bug"
             )
-        first = find_intersection_of_size(m, k, cap)
-        assert first is not None
-        ox = oxley_minor(m, first.circuit, first.cocircuit)
+        ox = oxley_minor(m, first[k].circuit, first[k].cocircuit)
         # Looked up at call time, so wrappers installed on the module apply.
         if k == 4:
             inner = witness_k4(ox)
@@ -913,8 +913,8 @@ def verify_conjecture(
         rank=m.rank(),
         circuit_count=len(m.circuits),
         cocircuit_count=len(cocircuits(m)),
-        achieved=sizes,
+        achieved=tuple(sorted(first)),
         entries=tuple(entries),
-        out_of_scope=tuple((k, (k - 2) in sizes) for k in sizes if k >= 7),
+        out_of_scope=tuple((k, (k - 2) in first) for k in sorted(first) if k >= 7),
         suites=_aggregate_suites([chain.minor for chain in entries]),
     )

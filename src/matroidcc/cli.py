@@ -447,7 +447,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    m = parse_matroid(args.path)
+    # Every mode but --circuits and --minor reads cocircuits, which refuse
+    # more than MAX_SCAN elements, so a larger file is refused unvalidated.
+    reads_cocircuits = not args.circuits and (
+        args.cocircuits or args.hyperplanes or args.cc_sizes or args.dual
+        or not args.minor
+    )
+    m = parse_matroid(args.path, max_elements=MAX_SCAN if reads_cocircuits else MAX_GROUND)
     if args.circuits:
         for c in m.circuits:
             print(repr(c))
@@ -496,6 +502,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _pair_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``main`` runs once from
@@ -514,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect (files run one by one)",
     )
     p_verify.add_argument(
-        "--cap", type=int, default=analyze.DEFAULT_PAIR_CAP,
+        "--cap", type=_pair_cap, default=analyze.DEFAULT_PAIR_CAP,
         help="max circuit-cocircuit pairs per matroid",
     )
     p_verify.add_argument(
@@ -541,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inspect.add_argument("--out", help="write file output here instead of stdout")
     p_inspect.add_argument(
-        "--cap", type=int, default=analyze.DEFAULT_PAIR_CAP,
+        "--cap", type=_pair_cap, default=analyze.DEFAULT_PAIR_CAP,
         help="max circuit-cocircuit pairs",
     )
     p_inspect.set_defaults(func=cmd_inspect)

@@ -117,6 +117,20 @@ MUTANTS = (
         PAIR_SCAN,
     ),
     Mutant(
+        "first-pair-taken-from-a-later-circuit",
+        ANALYZE,
+        "want = ((2 << size) - 4) & ~seen",
+        "want = (2 << size) - 4",
+        PAIR_SCAN,
+    ),
+    Mutant(
+        "zeros-branch-reads-the-plane-uncomplemented",
+        ANALYZE,
+        "branches.append((mask & ~plane, d + 1, zeros))",
+        "branches.append((mask & plane, d + 1, zeros))",
+        PAIR_SCAN,
+    ),
+    Mutant(
         "outside-elements-contracted-first",
         ANALYZE,
         "_CHOICES_OUTSIDE = (_DELETE, _KEEP, _CONTRACT)",

@@ -221,6 +221,39 @@ def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, mo
     assert capsys.readouterr().out.count("x") == mc.MAX_SCAN + 1
 
 
+@pytest.mark.parametrize("flags, rc", [
+    ([], 3),
+    (["--cocircuits"], 3),
+    (["--hyperplanes"], 3),
+    (["--dual"], 3),
+    (["--cc-sizes"], 3),
+    (["--oxley", "circuit=x0,x1;cocircuit=x0,x1"], 3),
+    (["--minor", "del=x2", "--dual"], 3),  # --dual runs, not --minor
+    (["--circuits"], 0),
+    (["--minor", "del=x2"], 0),
+])
+def test_inspect_refuses_large_circuits_file_unless_it_reads_no_cocircuits(
+    tmp_path, capsys, flags, rc
+):
+    labels = [f"x{i}" for i in range(mc.MAX_SCAN + 1)]
+    path = write(tmp_path, "big.json", {
+        "format": "circuits", "ground": labels, "circuits": [labels[:2]],
+    })
+    assert cli.main(["inspect", path, *flags]) == rc
+    err = capsys.readouterr().err
+    assert (f"this command takes at most {mc.MAX_SCAN}" in err) == (rc == 3)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["inspect", "--cc-sizes"]])
+def test_negative_cap_is_a_usage_error(tmp_path, capsys, command):
+    path = write(tmp_path, "fano.json", FANO_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, path, "--cap", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cap: must be at least 0, got -1" in capsys.readouterr().err
+    assert cli.main([*command, path, "--cap", "0"]) == 3  # 0 is a cap, if a tight one
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
