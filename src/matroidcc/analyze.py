@@ -176,11 +176,9 @@ def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
     return tuple(sorted(_first_pairs(m, cap)))
 
 
-def find_intersection_of_size(
-    m: Matroid, k: int, cap: int = DEFAULT_PAIR_CAP
-) -> CCIntersection | None:
+def find_intersection_of_size(m: Matroid, k: int) -> CCIntersection | None:
     """Canonical-first pair with |C & D| = k, or None."""
-    return _first_pairs(m, cap).get(k)
+    return _first_pairs(m, DEFAULT_PAIR_CAP).get(k)
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +703,17 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
     return found
 
 
-def witness_k6(ox: OxleyMinor, cap: int = DEFAULT_PAIR_CAP) -> CCIntersection:
-    """Size-4 intersection inside a k=6 minor (at most ten elements), found
-    by oracle enumeration."""
+def witness_k6(ox: OxleyMinor) -> CCIntersection:
+    """Size-4 intersection inside a k=6 minor, found by oracle enumeration.
+
+    It takes no pair cap.  The minor has ten elements, so at most
+    C(10, 5) = 252 circuits and 252 cocircuits, and a minor has no more
+    circuits or cocircuits than the matroid it comes from: the minor of an
+    input that passed ``verify_conjecture``'s cap passes that cap too.
+    """
     if ox.k != 6:
         raise PreconditionViolated(f"k = {ox.k}; this witness is for k = 6")
-    inner = find_intersection_of_size(ox.minor, 4, cap)
+    inner = find_intersection_of_size(ox.minor, 4)
     if inner is None:
         raise TheoremViolation(
             "no size-4 intersection inside the k=6 minor; one is guaranteed"
@@ -868,18 +871,14 @@ def _aggregate_suites(minors: list[OxleyMinor]) -> dict[str, SuiteResult]:
     return out
 
 
-def verify_conjecture(
-    m: Matroid,
-    cap: int = DEFAULT_PAIR_CAP,
-    name: str | None = None,
-) -> ConjectureReport:
+def verify_conjecture(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> ConjectureReport:
     """Check, for every achieved size k in {4, 5, 6}, that size k - 2 is
     achieved (oracle) and produce a verified constructive chain ending in
     a size-(k-2) intersection of this matroid.  Achieved sizes beyond 6
     are reported but not asserted.  Every extracted minor also runs the
     three property suites.
     """
-    label = name or m.name or "matroid"
+    label = m.name or "matroid"
     first = _first_pairs(m, cap)
     entries: list[WitnessChain] = []
     for k in (4, 5, 6):
@@ -897,7 +896,7 @@ def verify_conjecture(
         elif k == 5:
             inner = witness_k5(ox)
         else:
-            inner = witness_k6(ox, cap)
+            inner = witness_k6(ox)
         lifted_c, lifted_d = lift_intersection(
             m, ox.spec, ox.minor, inner.circuit, inner.cocircuit
         )

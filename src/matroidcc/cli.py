@@ -231,8 +231,8 @@ def _dump(doc: dict) -> str:
     return _indented(doc, "\n") + "\n"
 
 
-def write_matroid(m: Matroid, path: str | Path, name: str | None = None) -> None:
-    Path(path).write_text(_dump(matroid_doc(m, name)), encoding="utf-8")
+def write_matroid(m: Matroid, path: str | Path) -> None:
+    Path(path).write_text(_dump(matroid_doc(m)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +449,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_inspect(args: argparse.Namespace) -> int:
     # Every mode but --circuits and --minor reads cocircuits, which refuse
     # more than MAX_SCAN elements, so a larger file is refused unvalidated.
-    reads_cocircuits = not args.circuits and (
-        args.cocircuits or args.hyperplanes or args.cc_sizes or args.dual
-        or not args.minor
-    )
+    reads_cocircuits = not (args.circuits or args.minor)
     m = parse_matroid(args.path, max_elements=MAX_SCAN if reads_cocircuits else MAX_GROUND)
     if args.circuits:
         for c in m.circuits:
@@ -546,13 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", help="inspect one matroid file")
     p_inspect.add_argument("path")
-    p_inspect.add_argument("--circuits", action="store_true")
-    p_inspect.add_argument("--cocircuits", action="store_true")
-    p_inspect.add_argument("--hyperplanes", action="store_true")
-    p_inspect.add_argument("--cc-sizes", dest="cc_sizes", action="store_true")
-    p_inspect.add_argument("--dual", action="store_true")
-    p_inspect.add_argument("--minor", help='minor spec, e.g. "del=a,b;con=c"')
-    p_inspect.add_argument(
+    # At most one mode; with none, inspect prints a one-line summary.
+    mode = p_inspect.add_mutually_exclusive_group()
+    mode.add_argument("--circuits", action="store_true")
+    mode.add_argument("--cocircuits", action="store_true")
+    mode.add_argument("--hyperplanes", action="store_true")
+    mode.add_argument("--cc-sizes", dest="cc_sizes", action="store_true")
+    mode.add_argument("--dual", action="store_true")
+    mode.add_argument("--minor", help='minor spec, e.g. "del=a,b;con=c"')
+    mode.add_argument(
         "--oxley", help='extraction input, e.g. "circuit=a,b,c,d;cocircuit=c,d,e,f"'
     )
     p_inspect.add_argument("--out", help="write file output here instead of stdout")

@@ -107,13 +107,10 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-def uniform(n: int, k: int, labels: Sequence[str] | None = None) -> Matroid:
+def uniform(n: int, k: int) -> Matroid:
     """Rank-k uniform matroid on n elements: circuits are all (k+1)-subsets."""
     if n <= 0 or n > MAX_GROUND or k < 0 or k > n:
         raise InvalidParameter(f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}")
-    ground = GroundSet(labels if labels is not None else default_labels(n))
-    if ground.size != n:
-        raise InvalidParameter("label count does not match n")
     masks: list[int] = []
     if k < n:
         for combo in itertools.combinations(range(n), k + 1):
@@ -121,7 +118,7 @@ def uniform(n: int, k: int, labels: Sequence[str] | None = None) -> Matroid:
             for i in combo:
                 m |= 1 << i
             masks.append(m)
-    return Matroid(ground, masks, name=f"u{n}_{k}")
+    return Matroid(GroundSet(default_labels(n)), masks, name=f"u{n}_{k}")
 
 
 def _lead(vec: Sequence[int]) -> int:

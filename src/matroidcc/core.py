@@ -592,8 +592,6 @@ class Matroid:
         "ground",
         "circuits",
         "name",
-        "_masks",
-        "_sizes",
         "_dependent_mask",
         "_rank_full",
         "_dual_cache",
@@ -625,8 +623,6 @@ class Matroid:
         self.ground = ground
         self.circuits = fam
         self.name = name
-        self._masks = fam.masks
-        self._sizes = fam.sizes
         self._dual_cache = None
         self._rank_full = self._greedy_basis_mask(ground.full_mask).bit_count()
 
@@ -678,7 +674,7 @@ class Matroid:
         the cocircuits (``cocircuit_masks``).  Rank-0 matroids have no
         cocircuit and yield an empty tuple."""
         full = self.ground.full_mask
-        out = [full ^ d for d in cocircuit_masks(self.size, self._masks)]
+        out = [full ^ d for d in cocircuit_masks(self.size, self.circuits.masks)]
         return tuple(ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key))
 
     def fundamental_circuit(self, independent: ElemSet, element: str) -> ElemSet:
@@ -695,7 +691,7 @@ class Matroid:
                 f"adding {element!r} keeps the set independent"
             )
         hits = [
-            m for m in self._masks if m & bit and m & ~cand == 0
+            m for m in self.circuits.masks if m & bit and m & ~cand == 0
         ]
         if len(hits) != 1:
             raise TheoremViolation(
@@ -706,14 +702,14 @@ class Matroid:
 
     def is_simple(self) -> bool:
         """True iff there is no loop (1-circuit) and no parallel pair (2-circuit)."""
-        return not (self._sizes and self._sizes[0] <= 2)
+        return not (self.circuits.sizes and self.circuits.sizes[0] <= 2)
 
     def restrict(self, subset: ElemSet) -> "Matroid":
         """Matroid on the subset whose circuits are those contained in it."""
         self._own(subset)
         new_ground = GroundSet(subset.labels())
         masks = compress_masks(
-            (m for m in self._masks if m & ~subset.mask == 0), subset.mask
+            (m for m in self.circuits.masks if m & ~subset.mask == 0), subset.mask
         )
         return Matroid(new_ground, masks, validate=False)
 
@@ -725,7 +721,7 @@ class Matroid:
         if k == n:
             return len(self.circuits) == 0
         want = comb(n, k + 1)
-        return len(self.circuits) == want and all(s == k + 1 for s in self._sizes)
+        return len(self.circuits) == want and all(s == k + 1 for s in self.circuits.sizes)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -734,14 +730,10 @@ class Matroid:
             raise InvalidParameter("subset belongs to a different ground set")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matroid)
-            and self.ground == other.ground
-            and self._masks == other._masks
-        )
+        return isinstance(other, Matroid) and self.circuits == other.circuits
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._masks))
+        return hash(self.circuits)
 
     def __repr__(self) -> str:
         tag = f"{self.name!r} " if self.name else ""

@@ -115,12 +115,3 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     deleted = delete(m, spec.deleted)
     return contract(deleted, spec.contracted.to_ground(deleted.ground))
 
-
-def corank(m: Matroid, subset: ElemSet | None = None) -> int:
-    """Rank in the dual, via |S| - r(E) + r(E - S); no dual construction."""
-    if subset is None:
-        return m.size - m.rank()
-    if subset.ground != m.ground:
-        raise InvalidParameter("subset over a different ground set")
-    rest = ElemSet(m.ground, m.ground.full_mask & ~subset.mask)
-    return len(subset) - m.rank() + m.rank(rest)

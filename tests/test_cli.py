@@ -201,6 +201,14 @@ def test_verify_cap_exits_three(tmp_path, capsys):
     rc = cli.main(["verify", path, "--cap", "1"])
     capsys.readouterr()
     assert rc == 3
+    # u10_5 has 210 x 210 = 44,100 pairs.  The cap counts the input's pairs
+    # only: at exactly that cap the k = 6 chain runs inside its minor.
+    u105 = tmp_path / "u10_5.json"
+    cli.write_matroid(mc.uniform(10, 5), u105)
+    assert cli.main(["verify", str(u105), "--cap", "44100"]) == 0
+    assert "   k=6: oracle ok; " in capsys.readouterr().out
+    assert cli.main(["verify", str(u105), "--cap", "44099"]) == 3
+    assert "44100 circuit-cocircuit pairs exceed the cap of 44099" in capsys.readouterr().err
 
 
 def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, monkeypatch):
@@ -228,7 +236,7 @@ def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, mo
     (["--dual"], 3),
     (["--cc-sizes"], 3),
     (["--oxley", "circuit=x0,x1;cocircuit=x0,x1"], 3),
-    (["--minor", "del=x2", "--dual"], 3),  # --dual runs, not --minor
+    (["--cc-sizes", "--cap", str(10**9)], 3),  # a pair cap lifts no element bound
     (["--circuits"], 0),
     (["--minor", "del=x2"], 0),
 ])
@@ -242,6 +250,24 @@ def test_inspect_refuses_large_circuits_file_unless_it_reads_no_cocircuits(
     assert cli.main(["inspect", path, *flags]) == rc
     err = capsys.readouterr().err
     assert (f"this command takes at most {mc.MAX_SCAN}" in err) == (rc == 3)
+
+
+@pytest.mark.parametrize("modes, later", [
+    (["--minor", "del=x2", "--dual"], "--dual"),
+    (["--circuits", "--cocircuits"], "--cocircuits"),
+    (["--hyperplanes", "--cc-sizes"], "--cc-sizes"),
+    (["--oxley", "circuit=a;cocircuit=a", "--circuits"], "--circuits"),
+])
+def test_inspect_takes_at_most_one_mode(tmp_path, capsys, modes, later):
+    path = write(tmp_path, "fano.json", FANO_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inspect", path, *modes])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"matroidcc inspect: error: argument {later}: not allowed")
 
 
 @pytest.mark.parametrize("command", [["verify"], ["inspect", "--cc-sizes"]])
