@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from . import analyze, construct, transform
-from .core import MAX_GROUND, MAX_SCAN, Matroid
+from .core import MAX_SCAN, Matroid
 from .errors import (
     CapExceeded,
     MatroidError,
@@ -75,10 +75,10 @@ def _is_label_list(x: Any) -> bool:
     return isinstance(x, list) and all(map(_is_text, x))
 
 
-def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroid:
+def parse_matroid(path: str | Path) -> Matroid:
     """Read a matroid file (circuits, matrix or graph format) and build the
     validated matroid.  Degenerate inputs (empty ground set, rank 0) are
-    rejected here, and a circuits file with more than ``max_elements``
+    rejected here, and a circuits file with more than ``MAX_SCAN``
     elements is refused with ``CapExceeded`` before any circuit is built."""
     path = Path(path)
     try:
@@ -117,10 +117,10 @@ def parse_matroid(path: str | Path, *, max_elements: int = MAX_GROUND) -> Matroi
             )
         if not ground:
             raise ParseError(f"{path}: empty ground set")
-        if len(ground) > max_elements:
+        if len(ground) > MAX_SCAN:
             raise CapExceeded(
                 f"{path}: ground set has {len(ground)} elements; "
-                f"this command takes at most {max_elements}"
+                f"this command takes at most {MAX_SCAN}"
             )
         if not isinstance(circuits, list) or not all(map(_is_label_list, circuits)):
             raise ParseError(f"{path}: circuits must be a list of label lists")
@@ -396,9 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for path in sorted(str(p) for p in args.paths):
         start = time.perf_counter()
         try:
-            # Hyperplane enumeration refuses more than MAX_SCAN elements, so
-            # a larger circuits file is refused before it is validated.
-            m = parse_matroid(path, max_elements=MAX_SCAN)
+            m = parse_matroid(path)
             report = analyze.verify_conjecture(m, cap=args.cap)
         except MatroidError as err:
             if first_error is None:
@@ -447,10 +445,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    # Every mode but --circuits and --minor reads cocircuits, which refuse
-    # more than MAX_SCAN elements, so a larger file is refused unvalidated.
-    reads_cocircuits = not (args.circuits or args.minor)
-    m = parse_matroid(args.path, max_elements=MAX_SCAN if reads_cocircuits else MAX_GROUND)
+    m = parse_matroid(args.path)
     if args.circuits:
         for c in m.circuits:
             print(repr(c))

@@ -21,7 +21,6 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    MAX_GROUND,
     MAX_SCAN,
     GroundSet,
     Matroid,
@@ -109,8 +108,8 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 def uniform(n: int, k: int) -> Matroid:
     """Rank-k uniform matroid on n elements: circuits are all (k+1)-subsets."""
-    if n <= 0 or n > MAX_GROUND or k < 0 or k > n:
-        raise InvalidParameter(f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}")
+    if n <= 0 or n > MAX_SCAN or k < 0 or k > n:
+        raise InvalidParameter(f"uniform matroid needs 0 <= k <= n <= {MAX_SCAN}")
     masks: list[int] = []
     if k < n:
         for combo in itertools.combinations(range(n), k + 1):

@@ -1,18 +1,17 @@
 """Core matroid machinery: ground sets, bitmask subsets, circuit families.
 
 A matroid is stored as the full list of its circuits (minimal dependent
-sets) over a labelled ground set of at most 64 elements.  Subsets are int
-bitmasks, and every derived query -- axiom validation, rank, closure,
-simplicity -- reduces to the single primitive "does this subset contain a
-circuit".  ``dependence_test`` is the one place that answers it: for
-ground sets of at most ``MAX_SCAN`` elements by a lookup in
-``dependency_table``, a bitset over all subsets built once per family, and
-for larger ones by a linear scan of the circuits.  The same table gives
-the cocircuits, and so the hyperplanes and the dual, in a few whole-table
-shift-and-mask passes (``cocircuit_masks``).  The canonical order
-used everywhere is by cardinality, then lexicographically by element
-index; every deterministic tie-break in the package relies on it.  No
-object is changed after construction (caches fill idempotently).
+sets) over a labelled ground set of at most ``MAX_SCAN`` elements.  Subsets
+are int bitmasks, and every derived query -- axiom validation, rank,
+closure, simplicity -- reduces to the single primitive "does this subset
+contain a circuit".  ``dependence_test`` is the one place that answers it,
+by a lookup in ``dependency_table``, a bitset over all subsets built once
+per family.  The same table gives the cocircuits, and so the hyperplanes
+and the dual, in a few whole-table shift-and-mask passes
+(``cocircuit_masks``).  The canonical order used everywhere is by
+cardinality, then lexicographically by element index; every deterministic
+tie-break in the package relies on it.  No object is changed after
+construction (caches fill idempotently).
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from .errors import (
     TheoremViolation,
 )
 
-MAX_GROUND = 64
-# Exhaustive subset scans (cocircuit enumeration, brute-force oracles)
-# refuse ground sets larger than this, and dependency tables (2^n bits,
-# 128 KiB at this size) are built only up to it.
+# Every ground set has at most this many elements: a dependency table has
+# 2^n bits, 128 KiB at this size.
 MAX_SCAN = 20
 
 
@@ -56,9 +53,9 @@ def mask_sort_key(mask: int) -> int:
     The key is cardinality * 2^64 minus that reversal.
     """
     reversed_mask = int.from_bytes(
-        mask.to_bytes(MAX_GROUND // 8, "little").translate(_BYTE_REVERSED), "big"
+        mask.to_bytes(8, "little").translate(_BYTE_REVERSED), "big"
     )
-    return (mask.bit_count() << MAX_GROUND) - reversed_mask
+    return (mask.bit_count() << 64) - reversed_mask
 
 
 def compress_masks(masks: Iterable[int], kept: int) -> list[int]:
@@ -187,15 +184,9 @@ def minimal_members(n: int, masks: Iterable[int]) -> list[int]:
     """The distinct members of ``masks`` that contain no other member: of a
     family of dependent sets that holds every circuit, exactly the circuits
     (Oxley, Matroid Theory, §1.1: circuits are minimal dependent sets).
-
-    Up to ``MAX_SCAN`` elements they are the minimal sets of the family's
-    ``dependency_table``; beyond it each member is tested by a scan.
+    They are the minimal sets of the family's ``dependency_table``.
     """
-    if n <= MAX_SCAN:
-        return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))
-    family = set(masks)
-    dependent = dependence_test(n, family)
-    return [m for m in family if not contains_smaller_member(dependent, m)]
+    return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))
 
 
 def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
@@ -226,33 +217,9 @@ def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
 
 def dependence_test(n: int, masks: Iterable[int]) -> Callable[[int], int]:
     """Predicate "does subset S contain a member of ``masks``" (truthy/falsy)
-    over an n-element ground set.
-
-    Up to ``MAX_SCAN`` elements it is a lookup in ``dependency_table``;
-    beyond that, where the table would be too large, it scans the members
-    by ascending size and tries the last member it found first.
-    """
-    if n <= MAX_SCAN:
-        table = dependency_table(n, masks)
-        return lambda s: table[s >> 3] >> (s & 7) & 1
-    ordered = sorted(masks, key=int.bit_count)
-    sizes = [m.bit_count() for m in ordered]
-    last = [0]
-
-    def scan(s: int) -> bool:
-        hit = last[0]
-        if hit and hit & ~s == 0:
-            return True
-        pc = s.bit_count()
-        for size, m in zip(sizes, ordered):
-            if size > pc:
-                return False
-            if m & ~s == 0:
-                last[0] = m
-                return True
-        return False
-
-    return scan
+    over an n-element ground set: a lookup in ``dependency_table``."""
+    table = dependency_table(n, masks)
+    return lambda s: table[s >> 3] >> (s & 7) & 1
 
 
 class Record:
@@ -289,9 +256,9 @@ class GroundSet:
 
     def __init__(self, labels: Iterable[str]) -> None:
         labs = tuple(labels)
-        if len(labs) > MAX_GROUND:
+        if len(labs) > MAX_SCAN:
             raise CapExceeded(
-                f"ground set has {len(labs)} elements; the bitmask cap is {MAX_GROUND}"
+                f"ground set has {len(labs)} elements; the cap is {MAX_SCAN}"
             )
         for lab in labs:
             if not isinstance(lab, str) or not lab:
@@ -556,10 +523,10 @@ def validate_circuit_axioms(
                     return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
 
     # C3 (weak elimination): for distinct circuits and any common element e,
-    # the union minus e must contain some member.  Up to MAX_SCAN elements
-    # a bitset pass proves it; the pair scan then only runs to name the
-    # first violating pair and element.
-    if g.size <= MAX_SCAN and _weak_elimination_holds(g.size, masks):
+    # the union minus e must contain some member.  A bitset pass proves it;
+    # the pair scan then only runs to name the first violating pair and
+    # element.
+    if _weak_elimination_holds(g.size, masks):
         return AxiomReport(True)
     for i in range(n):
         mi = masks[i]

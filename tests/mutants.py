@@ -37,6 +37,7 @@ TABLE_DUAL = ("tests/test_core.py", "-k", "table_dual")
 ENUMERATION = ("tests/test_construct.py", "-k", "oracle")
 MINIMALITY = ("tests/test_construct.py", "tests/test_transform.py", "-k", "oracle")
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
+INGEST_CAP = ("tests/test_cli.py", "-k", "refuses_large_circuits_file")
 TEXT_REPORT = ("tests/test_cli.py", "-k", "text_report")
 
 
@@ -164,6 +165,14 @@ MUTANTS = (
         "if not isinstance(rows, list):",
         "if False:",
         INGEST,
+    ),
+    Mutant(
+        # GroundSet still refuses the file, but only inside from_circuits.
+        "element-cap-left-to-the-ground-set",
+        CLI,
+        "if len(ground) > MAX_SCAN:",
+        "if False:",
+        INGEST_CAP,
     ),
     Mutant(
         "long-json-integers-uncaught",

@@ -225,31 +225,36 @@ def test_verify_refuses_large_circuits_file_before_building(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "CapExceeded" in err and f"{mc.MAX_SCAN + 1} elements" in err
     monkeypatch.undo()
-    assert cli.main(["inspect", path, "--circuits"]) == 0  # inspect still reads it
-    assert capsys.readouterr().out.count("x") == mc.MAX_SCAN + 1
+    assert cli.main(["inspect", path, "--circuits"]) == 3
+    assert f"this command takes at most {mc.MAX_SCAN}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, rc", [
-    ([], 3),
-    (["--cocircuits"], 3),
-    (["--hyperplanes"], 3),
-    (["--dual"], 3),
-    (["--cc-sizes"], 3),
-    (["--oxley", "circuit=x0,x1;cocircuit=x0,x1"], 3),
-    (["--cc-sizes", "--cap", str(10**9)], 3),  # a pair cap lifts no element bound
-    (["--circuits"], 0),
-    (["--minor", "del=x2"], 0),
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--cocircuits"],
+    ["--hyperplanes"],
+    ["--dual"],
+    ["--cc-sizes"],
+    ["--oxley", "circuit=x0,x1;cocircuit=x0,x1"],
+    ["--cc-sizes", "--cap", str(10**9)],  # a pair cap lifts no element bound
+    ["--circuits"],
+    ["--minor", "del=x2"],
 ])
-def test_inspect_refuses_large_circuits_file_unless_it_reads_no_cocircuits(
-    tmp_path, capsys, flags, rc
+def test_inspect_refuses_large_circuits_file_before_building(
+    tmp_path, capsys, monkeypatch, flags
 ):
     labels = [f"x{i}" for i in range(mc.MAX_SCAN + 1)]
     path = write(tmp_path, "big.json", {
         "format": "circuits", "ground": labels, "circuits": [labels[:2]],
     })
-    assert cli.main(["inspect", path, *flags]) == rc
-    err = capsys.readouterr().err
-    assert (f"this command takes at most {mc.MAX_SCAN}" in err) == (rc == 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("circuits were built before the cap check")
+
+    monkeypatch.setattr(cli.construct, "from_circuits", refuse)
+    assert cli.main(["inspect", path, *flags]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"this command takes at most {mc.MAX_SCAN}" in err[0]
 
 
 @pytest.mark.parametrize("modes, later", [
