@@ -4,12 +4,13 @@ named catalog entries, and seeded random linear instances.
 A linear matroid's circuits are the minimal supports of its kernel
 vectors, and its cocircuits those of its row space; ``from_matrix`` row
 reduces once and enumerates the smaller of the two spaces in one
-byte-vectorised pass.  A graphic matroid is the linear matroid of its
-vertex-edge incidence matrix over GF(2), so ``from_graph`` builds that
-matrix and hands it to ``from_matrix``.  Each named matroid is defined
-once, by ``named_source`` (a matrix, a graph, or None for the
-non-representable Vámos matroid): ``named`` builds from it and
-``matroidcc catalog`` writes it out.  All constructors validate the
+byte-vectorised pass, whose supports close to the dependency table of the
+matroid (kernel) or of its dual (row space).  A graphic matroid is the
+linear matroid of its vertex-edge incidence matrix over GF(2), so
+``from_graph`` builds that matrix and hands it to ``from_matrix``.  Each
+named matroid is defined once, by ``named_source`` (a matrix, a graph, or
+None for the non-representable Vámos matroid): ``named`` builds from it
+and ``matroidcc catalog`` writes it out.  All constructors validate the
 resulting circuit family, so anything built here is safe input for the
 rest of the package.
 """
@@ -25,8 +26,8 @@ from .core import (
     GroundSet,
     Matroid,
     Record,
-    cocircuit_masks,
-    minimal_members,
+    dependency_table,
+    dual_table,
 )
 from .errors import CapExceeded, InvalidParameter, UnknownName
 
@@ -256,8 +257,8 @@ def from_matrix(
     row space (Oxley, Matroid Theory, ch. 2 and §9.2).  One row reduction
     gives the rank r and a basis of both spaces; the smaller one, of
     dimension min(n - r, r), is enumerated (``_span_supports``).  The
-    kernel's minimal supports are the circuits; the row space's supports
-    give them through the table dual (``cocircuit_masks``).
+    kernel's supports close to M's dependency table; the row space's to
+    the dual's, whose ``dual_table`` is M's, and that dual is kept as M's.
     """
     cols = matrix.columns
     n = len(cols)
@@ -273,8 +274,10 @@ def from_matrix(
     p = matrix.p
     rows = _echelon(zip(*cols), p)
     if n - len(rows) > len(rows):
-        supports = _span_supports([row for _, row in rows], n, p)
-        return Matroid(ground, cocircuit_masks(n, supports), name=name)
+        co_table = dependency_table(n, _span_supports([row for _, row in rows], n, p))
+        m = Matroid(ground, table=dual_table(n, co_table), name=name)
+        m._keep_dual(co_table)
+        return m
     # One kernel vector per column f outside the leads: 1 at f, and minus
     # each row's entry at f at that row's lead.
     leads = {lead for lead, _ in rows}
@@ -287,7 +290,7 @@ def from_matrix(
                 vec[lead] = -row[f] % p
             kernel.append(vec)
     supports = _span_supports(kernel, n, p)
-    return Matroid(ground, minimal_members(n, supports), name=name)
+    return Matroid(ground, table=dependency_table(n, supports), name=name)
 
 
 def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:

@@ -1,14 +1,14 @@
 """Core matroid machinery: ground sets, bitmask subsets, circuit families.
 
 A matroid is stored as the full list of its circuits (minimal dependent
-sets) over a labelled ground set of at most ``MAX_SCAN`` elements.  Subsets
-are int bitmasks, and every derived query -- axiom validation, rank,
-closure, simplicity -- reduces to the single primitive "does this subset
-contain a circuit".  ``dependence_test`` is the one place that answers it,
-by a lookup in ``dependency_table``, a bitset over all subsets built once
-per family.  The same table gives the cocircuits, and so the hyperplanes
-and the dual, in a few whole-table shift-and-mask passes
-(``cocircuit_masks``).  The canonical order used everywhere is by
+sets) over a labelled ground set of at most ``MAX_SCAN`` elements, and one
+``dependency_table``, a bitset over all subsets marking those that contain
+a circuit.  Subsets are int bitmasks, and every derived query -- axiom
+validation, rank, closure, simplicity -- is a lookup in that table.  The
+table is closed upwards from the circuits, or handed over by a producer
+that has closed it already, and then its minimal sets are the circuits.
+The dual's table comes from the matroid's in a few whole-table shift-and-mask
+passes (``dual_table``).  The canonical order used everywhere is by
 cardinality, then lexicographically by element index; every deterministic
 tie-break in the package relies on it.  No object is changed after
 construction (caches fill idempotently).
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     AxiomError,
@@ -94,13 +94,25 @@ def _lacking(n: int) -> Iterator[tuple[int, int]]:
         yield width, lacking
 
 
-def _member_bits(n: int, masks: Iterable[int]) -> bytearray:
+def _member_bits(n: int, masks: Iterable[int]) -> int:
     raw = bytearray(max(1, (1 << n) >> 3))
     for m in masks:
         if m < 0 or m >> n:
             raise InvalidParameter(f"mask {m:#x} has bits outside {n} elements")
         raw[m >> 3] |= 1 << (m & 7)
-    return raw
+    return int.from_bytes(raw, "little")
+
+
+def _close_up(n: int, family: int) -> int:
+    """Upward closure of a family of subsets given as a 2^n-bit int: step i
+    of n shift-OR steps adds element i to every marked subset lacking it."""
+    for width, lacking in _lacking(n):
+        family |= (family & lacking) << width
+    return family
+
+
+def _table_bytes(n: int, closed: int) -> bytes:
+    return closed.to_bytes(max(1, (1 << n) >> 3), "little")
 
 
 def dependency_table(n: int, masks: Iterable[int]) -> bytes:
@@ -108,58 +120,47 @@ def dependency_table(n: int, masks: Iterable[int]) -> bytes:
     iff S contains a member of ``masks``.
 
     Read bit S as ``table[S >> 3] >> (S & 7) & 1``.  The members are set
-    one bit each, then closed upwards with n shift-OR steps on one 2^n-bit
-    int: step i adds element i to every marked subset that lacks it.
+    one bit each, then closed upwards (``_close_up``).
     """
-    raw = _member_bits(n, masks)
-    table = int.from_bytes(raw, "little")
-    for width, lacking in _lacking(n):
-        table |= (table & lacking) << width
-    return table.to_bytes(len(raw), "little")
+    return _table_bytes(n, _close_up(n, _member_bits(n, masks)))
 
 
-def cocircuit_masks(n: int, masks: Iterable[int]) -> list[int]:
-    """The cocircuits of the matroid whose circuits are ``masks``, in
-    increasing mask value, from its ``dependency_table``.
+def dual_table(n: int, table: bytes) -> bytes:
+    """The dual's dependency table, from the table of a matroid on n elements.
 
     S is dependent in the dual iff E - S does not span (Oxley, Matroid
     Theory, Prop. 2.1.9).  On the 2^n-bit table this is: the bases are the
     independent sets with no independent one-element extension; closing
     them upwards gives the spanning sets; reversing the bit string maps
     each subset to its complement, so the non-spanning sets become the
-    dual's dependent sets; their minimal members, the sets with no
-    dependent S - e, are the cocircuits.  Every step is n shift-and-mask
-    operations on one int, the idiom of ``dependency_table``.
+    dual's dependent sets.  Every step is n shift-and-mask operations on
+    one int.
     """
-    if n > MAX_SCAN:
-        raise CapExceeded(f"cocircuit enumeration needs |E| <= {MAX_SCAN}, got {n}")
     size = 1 << n
     full = (1 << size) - 1
-    lacking = list(_lacking(n))
-    raw = dependency_table(n, masks)
-    independent = full ^ int.from_bytes(raw, "little")
+    independent = full ^ int.from_bytes(table, "little")
     extendable = 0
-    for width, lack in lacking:
+    for width, lack in _lacking(n):
         extendable |= (independent >> width) & lack
-    spanning = independent & ~extendable  # the bases
-    for width, lack in lacking:
-        spanning |= (spanning & lack) << width
+    spanning = _close_up(n, independent & ~extendable)  # the bases, closed up
     # Bit S moves to bit 2^n - 1 - S: bytes in reverse order, each byte's
     # bits reversed, then the padding below 2^n bits shifted out.
-    nonspanning = (full ^ spanning).to_bytes(len(raw), "little")
+    nonspanning = _table_bytes(n, full ^ spanning)
     reversed_bits = int.from_bytes(nonspanning.translate(_BYTE_REVERSED), "big")
-    codependent = reversed_bits >> (8 * len(raw) - size)
-    return _minimal_sets(n, codependent)
+    codependent = reversed_bits >> (8 * len(nonspanning) - size)
+    return _table_bytes(n, codependent)
 
 
-def _minimal_sets(n: int, closed: int) -> list[int]:
+def _minimal_sets(n: int, table: bytes) -> list[int]:
     """The minimal sets, in increasing mask value, of an upward-closed
-    family given as a 2^n-bit int: the sets in it that are not in it
-    shifted up by one element."""
+    family given as a table: the sets in it that are not in it shifted up
+    by one element.  Of a dependency table, the circuits (Oxley, Matroid
+    Theory, §1.1: circuits are minimal dependent sets)."""
+    closed = int.from_bytes(table, "little")
     larger = 0
     for width, lack in _lacking(n):
         larger |= (closed & lack) << width
-    minimal = (closed & ~larger).to_bytes(max(1, (1 << n) >> 3), "little")
+    minimal = _table_bytes(n, closed & ~larger)
     out = []
     for hit in re.finditer(rb"[^\x00]", minimal):
         byte = hit.start()
@@ -180,30 +181,22 @@ def contains_smaller_member(dependent: Callable[[int], int], mask: int) -> bool:
     return False
 
 
-def minimal_members(n: int, masks: Iterable[int]) -> list[int]:
-    """The distinct members of ``masks`` that contain no other member: of a
-    family of dependent sets that holds every circuit, exactly the circuits
-    (Oxley, Matroid Theory, §1.1: circuits are minimal dependent sets).
-    They are the minimal sets of the family's ``dependency_table``.
-    """
-    return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))
-
-
-def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
-    """C3 for an antichain without the empty set, decided on all 2^n
-    subsets at once.
+def _weak_elimination_holds(n: int, masks: Iterable[int], table: bytes) -> bool:
+    """C3 for an antichain ``masks`` without the empty set, whose
+    ``dependency_table`` is ``table``, decided on all 2^n subsets at once.
 
     C3 fails iff some subset S with no member inside and some element e
     outside S have two distinct members through e inside S + e: their
-    union minus e lies in S.  For each e this counts the members through e
-    below every subset, saturating at two, by an upward closure on a pair
-    of bitsets (count >= 1, count >= 2).
+    union minus e lies in S.  For each e, one AND keeps the members through
+    e, and an upward closure on a pair of bitsets (count >= 1, count >= 2)
+    counts them below every subset, saturating at two.
     """
     lacking = list(_lacking(n))
     full = (1 << (1 << n)) - 1
-    independent = full ^ int.from_bytes(dependency_table(n, masks), "little")
+    members = _member_bits(n, masks)
+    independent = full ^ int.from_bytes(table, "little")
     for e, (e_width, e_lack) in enumerate(lacking):
-        one = int.from_bytes(_member_bits(n, (m for m in masks if m >> e & 1)), "little")
+        one = members & ~e_lack
         two = 0
         for i, (width, lack) in enumerate(lacking):
             if i != e and one:
@@ -213,13 +206,6 @@ def _weak_elimination_holds(n: int, masks: Sequence[int]) -> bool:
         if two & ((independent & e_lack) << e_width):
             return False
     return True
-
-
-def dependence_test(n: int, masks: Iterable[int]) -> Callable[[int], int]:
-    """Predicate "does subset S contain a member of ``masks``" (truthy/falsy)
-    over an n-element ground set: a lookup in ``dependency_table``."""
-    table = dependency_table(n, masks)
-    return lambda s: table[s >> 3] >> (s & 7) & 1
 
 
 class Record:
@@ -485,14 +471,14 @@ def validate_circuit_axioms(
     circuits: CircuitFamily | Iterable[ElemSet | int],
     ground: GroundSet | None = None,
     *,
-    dependent: Callable[[int], int] | None = None,
+    table: bytes | None = None,
 ) -> AxiomReport:
     """Check C1 (no empty circuit), C2 (antichain), C3 (weak elimination).
 
     Returns a report rather than raising: the first violated axiom in
     canonical scan order together with the witnessing sets/element.
-    ``dependent`` is the family's ``dependence_test`` when the caller
-    already holds it; otherwise it is built here.
+    ``table`` is the family's ``dependency_table`` when the caller already
+    holds it (a ``Matroid`` hands over its own); otherwise it is built here.
     """
     if isinstance(circuits, CircuitFamily):
         fam = circuits
@@ -509,8 +495,9 @@ def validate_circuit_axioms(
     if n and sizes[0] == 0:
         return AxiomReport(False, "C1", (fam.sets[0],))
 
-    if dependent is None:
-        dependent = dependence_test(g.size, masks)
+    if table is None:
+        table = dependency_table(g.size, masks)
+    dependent = lambda s: table[s >> 3] >> (s & 7) & 1
 
     # C2: no circuit contains another, i.e. no C - e contains a member.
     # Only when some circuit does is the first nesting pair searched for;
@@ -526,7 +513,7 @@ def validate_circuit_axioms(
     # the union minus e must contain some member.  A bitset pass proves it;
     # the pair scan then only runs to name the first violating pair and
     # element.
-    if _weak_elimination_holds(g.size, masks):
+    if _weak_elimination_holds(g.size, masks, table):
         return AxiomReport(True)
     for i in range(n):
         mi = masks[i]
@@ -548,17 +535,20 @@ def validate_circuit_axioms(
 
 
 class Matroid:
-    """Immutable matroid presented by its canonical circuit family.
+    """Immutable matroid presented by its canonical circuit family and its
+    ``dependency_table``: built from the circuits, or from a ``table`` a
+    producer has already closed, whose minimal sets are then the circuits.
 
     Rank, closure and flats all derive from the independence test
-    "contains no circuit"; rank uses the greedy scan in element index
-    order, which the exchange property makes exact.
+    "contains no circuit", a lookup in the table; rank uses the greedy
+    scan in element index order, which the exchange property makes exact.
     """
 
     __slots__ = (
         "ground",
         "circuits",
         "name",
+        "_table",
         "_dependent_mask",
         "_rank_full",
         "_dual_cache",
@@ -567,11 +557,14 @@ class Matroid:
     def __init__(
         self,
         ground: GroundSet,
-        circuits: CircuitFamily | Iterable[ElemSet | int],
+        circuits: CircuitFamily | Iterable[ElemSet | int] = (),
         *,
         name: str | None = None,
         validate: bool = True,
+        table: bytes | None = None,
     ) -> None:
+        if table is not None:
+            circuits = _minimal_sets(ground.size, table)
         fam = (
             circuits
             if isinstance(circuits, CircuitFamily)
@@ -579,19 +572,33 @@ class Matroid:
         )
         if fam.ground != ground:
             raise InvalidParameter("circuit family belongs to a different ground set")
-        # The subset-dependency test serves validation and every rank,
-        # closure and independence query below.
-        dependent = dependence_test(ground.size, fam.masks)
+        # The table serves validation, the dual and every rank, closure and
+        # independence query below.
+        if table is None:
+            table = dependency_table(ground.size, fam.masks)
         if validate:
-            report = validate_circuit_axioms(fam, dependent=dependent)
+            report = validate_circuit_axioms(fam, table=table)
             if not report.ok:
                 raise AxiomError(report)
-        self._dependent_mask = dependent
+        self._table = table
+        self._dependent_mask = lambda s: table[s >> 3] >> (s & 7) & 1
         self.ground = ground
         self.circuits = fam
         self.name = name
         self._dual_cache = None
         self._rank_full = self._greedy_basis_mask(ground.full_mask).bit_count()
+
+    def _keep_dual(self, table: bytes) -> None:
+        """Cache the matroid of the dual's ``table`` as this one's dual after
+        checking that its rank is |E| - r.  The reverse link is deliberately
+        not set, so the dual of the result is computed afresh."""
+        name = f"dual({self.name})" if self.name else None
+        d = Matroid(self.ground, table=table, name=name, validate=False)
+        if d.rank() != self.size - self._rank_full:
+            raise TheoremViolation(
+                "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
+            )
+        self._dual_cache = d
 
     # -- independence primitives ------------------------------------------
 
@@ -638,10 +645,11 @@ class Matroid:
 
     def hyperplanes(self) -> tuple[ElemSet, ...]:
         """All maximal proper flats, in canonical order: the complements of
-        the cocircuits (``cocircuit_masks``).  Rank-0 matroids have no
-        cocircuit and yield an empty tuple."""
+        the cocircuits, the minimal sets of the ``dual_table``.  Rank-0
+        matroids have no cocircuit and yield an empty tuple."""
         full = self.ground.full_mask
-        out = [full ^ d for d in cocircuit_masks(self.size, self.circuits.masks)]
+        codependent = dual_table(self.size, self._table)
+        out = [full ^ d for d in _minimal_sets(self.size, codependent)]
         return tuple(ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key))
 
     def fundamental_circuit(self, independent: ElemSet, element: str) -> ElemSet:

@@ -1,7 +1,9 @@
 """Duality and minor operations: dual, cocircuits, deletion, contraction.
 
-The dual's circuits are the minimal sets whose complement does not span,
-read off the dependency table by ``core.cocircuit_masks``.  Basis
+Each result closes one dependency table, and a table handed over gives
+the circuits as its minimal sets: the dual's holds the sets whose
+complement does not span (``core.dual_table`` of the parent's), and a
+contraction's the closure of the contracted circuits.  Basis
 complementation and the closure scan over (r-1)-sets are kept out of the
 package on purpose: the test suite uses them as independent oracles
 against this construction.
@@ -15,11 +17,11 @@ from .core import (
     GroundSet,
     Matroid,
     Record,
-    cocircuit_masks,
     compress_masks,
-    minimal_members,
+    dependency_table,
+    dual_table,
 )
-from .errors import InvalidParameter, OverlappingSpec, TheoremViolation
+from .errors import InvalidParameter, OverlappingSpec
 
 
 class MinorSpec(Record):
@@ -53,28 +55,14 @@ class MinorSpec(Record):
 
 
 def dual(m: Matroid) -> Matroid:
-    """Dual matroid: its circuits are the minimal sets S whose complement
-    E - S does not span m (``core.cocircuit_masks``, from m's dependency
-    table), and its rank is checked against |E| - r(m).
-
-    The result is cached on the input (idempotent fill); the reverse link
-    is deliberately not set so dual(dual(m)) exercises a fresh computation.
+    """Dual matroid: its dependency table holds the sets S whose complement
+    E - S does not span m (``core.dual_table`` of m's table), and its rank
+    is checked against |E| - r(m).  The result is cached on the input, but
+    not the reverse link, so dual(dual(m)) exercises a fresh computation.
     """
-    cached = m._dual_cache
-    if cached is not None:
-        return cached
-    d = Matroid(
-        m.ground,
-        cocircuit_masks(m.size, m.circuits.masks),
-        name=f"dual({m.name})" if m.name else None,
-        validate=False,
-    )
-    if d.rank() != m.size - m.rank():
-        raise TheoremViolation(
-            "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
-        )
-    m._dual_cache = d
-    return d
+    if m._dual_cache is None:
+        m._keep_dual(dual_table(m.size, m._table))
+    return m._dual_cache
 
 
 def cocircuits(m: Matroid) -> CircuitFamily:
@@ -99,8 +87,8 @@ def contract(m: Matroid, removed: ElemSet) -> Matroid:
         return m
     kept = removed.complement()
     reduced = {c & kept.mask for c in m.circuits.masks if c & kept.mask}
-    minimal = minimal_members(len(kept), compress_masks(reduced, kept.mask))
-    return Matroid(GroundSet(kept.labels()), minimal, validate=False)
+    table = dependency_table(len(kept), compress_masks(reduced, kept.mask))
+    return Matroid(GroundSet(kept.labels()), table=table, validate=False)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:

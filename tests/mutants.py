@@ -29,11 +29,15 @@ ANALYZE = "src/matroidcc/analyze.py"
 CLI = "src/matroidcc/cli.py"
 CONSTRUCT = "src/matroidcc/construct.py"
 CORE = "src/matroidcc/core.py"
+TRANSFORM = "src/matroidcc/transform.py"
 
 # pytest selections the mutants run.
 EXTRACTION = ("tests/test_analyze.py", "-k", "extract or search_viable")
 PAIR_SCAN = ("tests/test_analyze.py", "-k", "achieved or count_planes")
 TABLE_DUAL = ("tests/test_core.py", "-k", "table_dual")
+VALIDATION = ("tests/test_core.py", "-k", "validation or outcome")
+DUAL = ("tests/test_transform.py", "-k", "dual or cocircuits")
+TABLE_COUNT = ("tests/test_cli.py", "-k", "one_dependency_table")
 ENUMERATION = ("tests/test_construct.py", "-k", "oracle")
 MINIMALITY = ("tests/test_construct.py", "tests/test_transform.py", "-k", "oracle")
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
@@ -54,23 +58,53 @@ MUTANTS = (
     Mutant(
         "dual-skips-the-bit-reversal",
         CORE,
-        "codependent = reversed_bits >> (8 * len(raw) - size)",
+        "codependent = reversed_bits >> (8 * len(nonspanning) - size)",
         'codependent = int.from_bytes(nonspanning, "little")',
         TABLE_DUAL,
     ),
     Mutant(
         "bases-taken-as-all-independent-sets",
         CORE,
-        "spanning = independent & ~extendable  # the bases",
-        "spanning = independent  # the bases",
+        "spanning = _close_up(n, independent & ~extendable)  # the bases, closed up",
+        "spanning = _close_up(n, independent)  # the bases, closed up",
         TABLE_DUAL,
     ),
     Mutant(
+        # The minimal sets are read off the members, shifted once, instead
+        # of their upward closure.
         "minimal-members-shifts-the-members",
-        CORE,
-        'return _minimal_sets(n, int.from_bytes(dependency_table(n, masks), "little"))',
-        'return _minimal_sets(n, int.from_bytes(_member_bits(n, masks), "little"))',
+        TRANSFORM,
+        "table = dependency_table(len(kept), compress_masks(reduced, kept.mask))",
+        "from .core import _member_bits, _table_bytes\n"
+        "    table = _table_bytes(\n"
+        "        len(kept), _member_bits(len(kept), compress_masks(reduced, kept.mask))\n"
+        "    )",
         MINIMALITY,
+    ),
+    Mutant(
+        # Taking every member, not only those through e, changes nothing:
+        # C3 reads S + e only for independent S, and any member inside such
+        # a set goes through e.  Taking those that miss e must be caught.
+        "c3-counts-the-members-that-miss-e",
+        CORE,
+        "one = members & ~e_lack",
+        "one = members & e_lack",
+        VALIDATION,
+    ),
+    Mutant(
+        "dual-handed-the-parents-own-table",
+        TRANSFORM,
+        "m._keep_dual(dual_table(m.size, m._table))",
+        "m._keep_dual(m._table)",
+        DUAL,
+    ),
+    Mutant(
+        # Same matroids, but every handed-over table is closed again.
+        "handed-table-rebuilt-from-the-circuits",
+        CORE,
+        "        if table is None:\n            table = dependency_table(ground.size, fam.masks)",
+        "        if True:\n            table = dependency_table(ground.size, fam.masks)",
+        TABLE_COUNT,
     ),
     Mutant(
         "odometer-skips-the-offset-update-on-a-carry",
@@ -80,10 +114,20 @@ MUTANTS = (
         ENUMERATION,
     ),
     Mutant(
+        # The row branch hands M*'s table, the closure of the row space's
+        # supports, as M's: M's circuits become the cocircuits.
         "row-space-supports-taken-as-circuits",
         CONSTRUCT,
-        "cocircuit_masks(n, supports)",
-        "minimal_members(n, supports)",
+        "table=dual_table(n, co_table)",
+        "table=co_table",
+        ENUMERATION,
+    ),
+    Mutant(
+        # The dual the row branch keeps for M gets M's own table.
+        "row-branch-keeps-its-own-table-as-the-dual",
+        CONSTRUCT,
+        "m._keep_dual(co_table)",
+        "m._keep_dual(m._table)",
         ENUMERATION,
     ),
     Mutant(

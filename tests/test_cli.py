@@ -471,6 +471,34 @@ def test_catalog_into_a_non_utf8_directory_prints_on_a_strict_stream(tmp_path, c
     assert len(list(out.glob("*.json"))) == count
 
 
+def test_verify_closes_one_dependency_table_per_matroid(catalog_dir, capsys, monkeypatch):
+    # Every matroid verify builds (inputs of both from_matrix branches, a
+    # graph, circuit files, minors and duals) closes one dependency table
+    # upwards, and its circuits are set as member bits at most twice (for
+    # the table and for C3), never once per element.  from_matrix's row
+    # branch builds two: the dual from the row space's supports, and M.
+    counts = {"matroids": 0, "closures": 0, "member_passes": 0}
+
+    def count(owner, attr, key):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(mc.Matroid, "__init__", "matroids")
+    count(mc.core, "_close_up", "closures")
+    count(mc.core, "_member_bits", "member_passes")
+    names = ("fano", "k4", "k5", "vamos", "u6_3", "rand00")
+    assert cli.main(["verify", *(str(catalog_dir / f"{n}.json") for n in names)]) == 0
+    capsys.readouterr()
+    assert counts["matroids"] >= 2 * len(names)
+    assert counts["closures"] == counts["matroids"]
+    assert counts["member_passes"] <= 2 * counts["matroids"]
+
+
 def test_verify_text_report_for_fano_and_u10_5(catalog_dir, capsys):
     paths = [str(catalog_dir / "fano.json"), str(catalog_dir / "u10_5.json")]
     assert cli.main(["verify", *paths]) == 0

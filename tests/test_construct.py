@@ -191,8 +191,13 @@ def test_row_space_supports_give_the_table_dual_cocircuits(p, n, r):
     matrix = mc.random_matrix(11, n, r, p)
     rows = [row for _, row in mc.construct._echelon(zip(*matrix.columns), p)]
     supports = mc.construct._span_supports(rows, n, p)
-    cocircuits = mc.transform.cocircuits(mc.from_matrix(matrix))
-    assert sorted(mc.core.minimal_members(n, supports)) == sorted(cocircuits.masks)
+    m = mc.from_matrix(matrix)
+    table = mc.core.dual_table(n, mc.core.dependency_table(n, m.circuits.masks))
+
+    def minimal_sets(table: bytes) -> list[int]:
+        return sorted(mc.core._minimal_sets(n, table))
+
+    assert minimal_sets(mc.core.dependency_table(n, supports)) == minimal_sets(table)
 
 
 def test_matrix_field_must_be_small_prime():
