@@ -258,7 +258,7 @@ def from_matrix(
     gives the rank r and a basis of both spaces; the smaller one, of
     dimension min(n - r, r), is enumerated (``_span_supports``).  The
     kernel's supports close to M's dependency table; the row space's to
-    the dual's, whose ``dual_table`` is M's, and that dual is kept as M's.
+    the dual's, whose ``dual_table`` is M's, and which M keeps for its dual.
     """
     cols = matrix.columns
     n = len(cols)
@@ -275,8 +275,8 @@ def from_matrix(
     rows = _echelon(zip(*cols), p)
     if n - len(rows) > len(rows):
         co_table = dependency_table(n, _span_supports([row for _, row in rows], n, p))
-        m = Matroid(ground, table=dual_table(n, co_table), name=name)
-        m._keep_dual(co_table)
+        m = Matroid(ground, (), name=name, table=dual_table(n, co_table))
+        m._co_table = co_table
         return m
     # One kernel vector per column f outside the leads: 1 at f, and minus
     # each row's entry at f at that row's lead.
@@ -290,7 +290,7 @@ def from_matrix(
                 vec[lead] = -row[f] % p
             kernel.append(vec)
     supports = _span_supports(kernel, n, p)
-    return Matroid(ground, table=dependency_table(n, supports), name=name)
+    return Matroid(ground, (), name=name, table=dependency_table(n, supports))
 
 
 def from_graph(graph: GraphSpec, name: str | None = None) -> Matroid:

@@ -518,9 +518,7 @@ def validate_circuit_axioms(
     for i in range(n):
         mi = masks[i]
         for j in range(i + 1, n):
-            mj = masks[j]
-            common = mi & mj
-            union = mi | mj
+            common, union = mi & masks[j], mi | masks[j]
             while common:
                 low = common & -common
                 if not dependent(union ^ low):
@@ -536,8 +534,9 @@ def validate_circuit_axioms(
 
 class Matroid:
     """Immutable matroid presented by its canonical circuit family and its
-    ``dependency_table``: built from the circuits, or from a ``table`` a
-    producer has already closed, whose minimal sets are then the circuits.
+    ``dependency_table``, closed from the circuits or handed over, with
+    ``()`` as the circuits, by a producer in this package that closed it:
+    its length is checked, its upward closure trusted.
 
     Rank, closure and flats all derive from the independence test
     "contains no circuit", a lookup in the table; rank uses the greedy
@@ -549,6 +548,7 @@ class Matroid:
         "circuits",
         "name",
         "_table",
+        "_co_table",
         "_dependent_mask",
         "_rank_full",
         "_dual_cache",
@@ -557,13 +557,15 @@ class Matroid:
     def __init__(
         self,
         ground: GroundSet,
-        circuits: CircuitFamily | Iterable[ElemSet | int] = (),
+        circuits: CircuitFamily | Iterable[ElemSet | int],
         *,
         name: str | None = None,
         validate: bool = True,
         table: bytes | None = None,
     ) -> None:
         if table is not None:
+            if circuits != () or len(table) != max(1, (1 << ground.size) >> 3):
+                raise InvalidParameter("a table needs () as circuits, one bit per subset")
             circuits = _minimal_sets(ground.size, table)
         fam = (
             circuits
@@ -581,24 +583,13 @@ class Matroid:
             if not report.ok:
                 raise AxiomError(report)
         self._table = table
+        self._co_table: bytes | None = None  # the dual's, if closed first
         self._dependent_mask = lambda s: table[s >> 3] >> (s & 7) & 1
         self.ground = ground
         self.circuits = fam
         self.name = name
         self._dual_cache = None
         self._rank_full = self._greedy_basis_mask(ground.full_mask).bit_count()
-
-    def _keep_dual(self, table: bytes) -> None:
-        """Cache the matroid of the dual's ``table`` as this one's dual after
-        checking that its rank is |E| - r.  The reverse link is deliberately
-        not set, so the dual of the result is computed afresh."""
-        name = f"dual({self.name})" if self.name else None
-        d = Matroid(self.ground, table=table, name=name, validate=False)
-        if d.rank() != self.size - self._rank_full:
-            raise TheoremViolation(
-                "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
-            )
-        self._dual_cache = d
 
     # -- independence primitives ------------------------------------------
 
@@ -648,7 +639,7 @@ class Matroid:
         the cocircuits, the minimal sets of the ``dual_table``.  Rank-0
         matroids have no cocircuit and yield an empty tuple."""
         full = self.ground.full_mask
-        codependent = dual_table(self.size, self._table)
+        codependent = self._co_table or dual_table(self.size, self._table)
         out = [full ^ d for d in _minimal_sets(self.size, codependent)]
         return tuple(ElemSet(self.ground, m) for m in sorted(out, key=mask_sort_key))
 

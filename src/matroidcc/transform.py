@@ -21,7 +21,7 @@ from .core import (
     dependency_table,
     dual_table,
 )
-from .errors import InvalidParameter, OverlappingSpec
+from .errors import InvalidParameter, OverlappingSpec, TheoremViolation
 
 
 class MinorSpec(Record):
@@ -56,13 +56,21 @@ class MinorSpec(Record):
 
 def dual(m: Matroid) -> Matroid:
     """Dual matroid: its dependency table holds the sets S whose complement
-    E - S does not span m (``core.dual_table`` of m's table), and its rank
-    is checked against |E| - r(m).  The result is cached on the input, but
-    not the reverse link, so dual(dual(m)) exercises a fresh computation.
-    """
-    if m._dual_cache is None:
-        m._keep_dual(dual_table(m.size, m._table))
-    return m._dual_cache
+    E - S does not span m: the one ``from_matrix``'s row branch closed, or
+    ``core.dual_table`` of m's.  Its rank is checked against |E| - r(m).
+    The result is cached on the input, but not the reverse link, so
+    dual(dual(m)) exercises a fresh computation."""
+    d = m._dual_cache
+    if d is None:
+        table = m._co_table or dual_table(m.size, m._table)
+        name = f"dual({m.name})" if m.name else None
+        d = Matroid(m.ground, (), name=name, validate=False, table=table)
+        if d.rank() != m.size - m.rank():
+            raise TheoremViolation(
+                "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
+            )
+        m._dual_cache = d
+    return d
 
 
 def cocircuits(m: Matroid) -> CircuitFamily:
@@ -88,7 +96,7 @@ def contract(m: Matroid, removed: ElemSet) -> Matroid:
     kept = removed.complement()
     reduced = {c & kept.mask for c in m.circuits.masks if c & kept.mask}
     table = dependency_table(len(kept), compress_masks(reduced, kept.mask))
-    return Matroid(GroundSet(kept.labels()), table=table, validate=False)
+    return Matroid(GroundSet(kept.labels()), (), validate=False, table=table)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:

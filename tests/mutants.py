@@ -38,6 +38,7 @@ TABLE_DUAL = ("tests/test_core.py", "-k", "table_dual")
 VALIDATION = ("tests/test_core.py", "-k", "validation or outcome")
 DUAL = ("tests/test_transform.py", "-k", "dual or cocircuits")
 TABLE_COUNT = ("tests/test_cli.py", "-k", "one_dependency_table")
+HANDED = ("tests/test_core.py", "-k", "every_built or only_when_asked or one_bit_per")
 ENUMERATION = ("tests/test_construct.py", "-k", "oracle")
 MINIMALITY = ("tests/test_construct.py", "tests/test_transform.py", "-k", "oracle")
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
@@ -94,8 +95,8 @@ MUTANTS = (
     Mutant(
         "dual-handed-the-parents-own-table",
         TRANSFORM,
-        "m._keep_dual(dual_table(m.size, m._table))",
-        "m._keep_dual(m._table)",
+        "table = m._co_table or dual_table(m.size, m._table)",
+        "table = m._co_table or m._table",
         DUAL,
     ),
     Mutant(
@@ -105,6 +106,13 @@ MUTANTS = (
         "        if table is None:\n            table = dependency_table(ground.size, fam.masks)",
         "        if True:\n            table = dependency_table(ground.size, fam.masks)",
         TABLE_COUNT,
+    ),
+    Mutant(
+        "handed-table-length-unchecked",
+        CORE,
+        "if circuits != () or len(table) != max(1, (1 << ground.size) >> 3):",
+        "if circuits != ():",
+        HANDED,
     ),
     Mutant(
         "odometer-skips-the-offset-update-on-a-carry",
@@ -123,12 +131,12 @@ MUTANTS = (
         ENUMERATION,
     ),
     Mutant(
-        # The dual the row branch keeps for M gets M's own table.
+        # The dual's table the row branch keeps for M is M's own table.
         "row-branch-keeps-its-own-table-as-the-dual",
         CONSTRUCT,
-        "m._keep_dual(co_table)",
-        "m._keep_dual(m._table)",
-        ENUMERATION,
+        "m._co_table = co_table",
+        "m._co_table = m._table",
+        HANDED,
     ),
     Mutant(
         "ranks-without-contracted-set",

@@ -476,7 +476,8 @@ def test_verify_closes_one_dependency_table_per_matroid(catalog_dir, capsys, mon
     # graph, circuit files, minors and duals) closes one dependency table
     # upwards, and its circuits are set as member bits at most twice (for
     # the table and for C3), never once per element.  from_matrix's row
-    # branch builds two: the dual from the row space's supports, and M.
+    # branch closes two: the dual's, from the row space's supports, and M's
+    # from it; verify then builds the dual from the first with no closure.
     counts = {"matroids": 0, "closures": 0, "member_passes": 0}
 
     def count(owner, attr, key):

@@ -511,6 +511,8 @@ def assert_tables_rebuild_from_circuits(matroids: list[Matroid]) -> None:
     # circuits close to.
     for m in matroids:
         assert m._table == mc.core.dependency_table(m.size, m.circuits.masks)
+        if m._co_table is not None:
+            assert m._co_table == mc.core.dual_table(m.size, m._table)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -522,7 +524,7 @@ def assert_tables_rebuild_from_circuits(matroids: list[Matroid]) -> None:
 )
 def test_every_built_matroid_holds_the_table_of_its_circuits(data, p, rows, n):
     # Zero rows give rank 0 and rows >= n often full rank; rank r < n / 2
-    # takes from_matrix's row branch, which builds M and its dual at once.
+    # takes from_matrix's row branch, which keeps the dual's table for dual.
     columns = data.draw(columns_with_loops_and_parallels(p, rows, n))
     removed = data.draw(st.integers(0, (1 << n) - 1))
     with built_matroids() as built:
@@ -532,6 +534,27 @@ def test_every_built_matroid_holds_the_table_of_its_circuits(data, p, rows, n):
             mc.dual(mc.dual(x))
     assert len(built) >= 3  # m, its dual and their dual at least
     assert_tables_rebuild_from_circuits(built)
+
+
+def test_matroid_takes_its_circuits_or_a_table_of_one_bit_per_subset():
+    g = GroundSet(["a", "b", "c"])
+    table = mc.core.dependency_table(3, [0b011])
+    assert Matroid(g, (), table=table).circuits.masks == (0b011,)
+    with pytest.raises(TypeError):
+        Matroid(g)  # no circuits, no table
+    for circuits, bad in (([0b011], table), ((), table * 2), ((), b"")):
+        with pytest.raises(mc.InvalidParameter):
+            Matroid(g, circuits, table=bad)
+
+
+def test_row_branch_builds_its_dual_only_when_asked():
+    # Rank 1 on 4 columns takes from_matrix's row branch; the dual's table
+    # it closed is kept, and the dual matroid is built by ``dual`` alone.
+    with built_matroids() as built:
+        m = mc.from_matrix(mc.MatrixOverGF.from_rows(2, [[1, 1, 1, 1]]))
+    assert built == [m] and m._dual_cache is None
+    assert m._co_table == mc.core.dual_table(4, m._table)
+    assert mc.dual(m)._table is m._co_table
 
 
 # ---------------------------------------------------------------------------
