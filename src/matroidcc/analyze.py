@@ -1,13 +1,14 @@
 """Circuit-cocircuit intersection analysis.
 
-This module carries the substantive machinery: brute-force intersection
-enumeration (the oracle everything else is checked against), the achieved
-intersection sizes and each one's first pair from one bit-sliced pass over
-the circuits, extraction of a verified minor in which the intersection X
+This module carries the substantive machinery: the achieved intersection
+sizes and each one's first pair from one bit-sliced pass over the
+circuits, extraction of a verified minor in which the intersection X
 becomes both a circuit and a cocircuit (a depth-first search that reads
 ranks of the input through one memo per search), the property suites over
 that minor's special circuit families, and the constructive size-(k-2)
-witnesses for k = 4, 5, 6, lifted back to the original matroid.
+witnesses for k = 4, 5, 6, lifted back to the original matroid.  All of
+it reads circuits and cocircuits as masks; the brute-force pair list the
+tests check it against is ``tests/oracles.py::cc_intersections``.
 """
 
 from __future__ import annotations
@@ -50,34 +51,7 @@ class CCIntersection(Record):
 
     @property
     def size(self) -> int:
-        return len(self.intersection)
-
-
-def _pair_lists(m: Matroid, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    co = cocircuits(m)
-    total = len(m.circuits) * len(co)
-    if total > cap:
-        raise CapExceeded(
-            f"{total} circuit-cocircuit pairs exceed the cap of {cap}"
-        )
-    return m.circuits.masks, co.masks
-
-
-def cc_intersections(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> list[CCIntersection]:
-    """Every intersecting circuit/cocircuit pair, in canonical pair order.
-
-    This is the brute-force oracle the constructive machinery is checked
-    against; order is (circuit index, cocircuit index) over the canonical
-    families.
-    """
-    cmasks, dmasks = _pair_lists(m, cap)
-    g = m.ground
-    out: list[CCIntersection] = []
-    for cm in cmasks:
-        for dm in dmasks:
-            if cm & dm:
-                out.append(CCIntersection(ElemSet(g, cm), ElemSet(g, dm)))
-    return out
+        return (self.circuit.mask & self.cocircuit.mask).bit_count()
 
 
 # Bit v of _VALUE_BIT[d] is set iff bit d of v is, for every count 0..31
@@ -115,17 +89,25 @@ def _count_planes(columns: list[int], cm: int) -> tuple[int, int, int, int, int]
     return p0, p1, p2, p3, p4
 
 
-def _first_pairs(m: Matroid, cap: int) -> dict[int, CCIntersection]:
-    """Each achieved size |C & D| -> its canonical-first pair; size 1 raises.
+def _first_pairs(m: Matroid, cap: int) -> dict[int, tuple[int, int]]:
+    """Each achieved size |C & D| -> its canonical-first pair, as (circuit,
+    cocircuit) masks; size 1 raises.
 
     One bit-sliced pass: with bit j of ``columns[e]`` set iff e is in the
     j-th cocircuit, ``_count_planes`` counts a circuit's intersections with
     every cocircuit at once.  Count 1 is tested on every circuit; the
     sizes not seen yet are found together by one descent over the planes,
     which follows a branch only while it holds both cocircuits and wanted
-    sizes.  A pair is the first of its size in ``cc_intersections`` order.
+    sizes.  A pair is the first of its size in (circuit, cocircuit) index
+    order.  More than ``cap`` circuit-cocircuit pairs raise ``CapExceeded``.
     """
-    cmasks, dmasks = _pair_lists(m, cap)
+    co = cocircuits(m)
+    total = len(m.circuits) * len(co)
+    if total > cap:
+        raise CapExceeded(
+            f"{total} circuit-cocircuit pairs exceed the cap of {cap}"
+        )
+    cmasks, dmasks = m.circuits.masks, co.masks
     columns = [0] * m.size
     for j, dm in enumerate(dmasks):
         bit = 1 << j
@@ -134,8 +116,7 @@ def _first_pairs(m: Matroid, cap: int) -> dict[int, CCIntersection]:
             dm ^= low
             columns[low.bit_length() - 1] |= bit
     everyone = (1 << len(dmasks)) - 1
-    g = m.ground
-    first: dict[int, CCIntersection] = {}
+    first: dict[int, tuple[int, int]] = {}
     seen = 0  # bit v set once size v is achieved, so v keeps its first pair
     for cm in cmasks:
         planes = _count_planes(columns, cm)
@@ -158,8 +139,7 @@ def _first_pairs(m: Matroid, cap: int) -> dict[int, CCIntersection]:
             mask, d, want = branches.pop()
             if d == depth:
                 seen |= want
-                cocircuit = ElemSet(g, dmasks[(mask & -mask).bit_length() - 1])
-                first[want.bit_length() - 1] = CCIntersection(ElemSet(g, cm), cocircuit)
+                first[want.bit_length() - 1] = (cm, dmasks[(mask & -mask).bit_length() - 1])
                 continue
             plane = planes[d]
             ones = want & _VALUE_BIT[d]
@@ -178,7 +158,8 @@ def achieved_sizes(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> tuple[int, ...]:
 
 def find_intersection_of_size(m: Matroid, k: int) -> CCIntersection | None:
     """Canonical-first pair with |C & D| = k, or None."""
-    return _first_pairs(m, DEFAULT_PAIR_CAP).get(k)
+    pair = _first_pairs(m, DEFAULT_PAIR_CAP).get(k)
+    return None if pair is None else CCIntersection(*map(m.ground.from_mask, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +373,31 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
 # ---------------------------------------------------------------------------
 
 
-def _ce_members(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
-    """Circuits C of the minor with C - X = {element}, in canonical order."""
-    ebit = 1 << ox.minor.ground.index(element)
+def _ce_members(ox: OxleyMinor, ebit: int) -> tuple[int, ...]:
+    """Masks of the circuits C of the minor with C - X = {e}, e the element
+    of ``ebit``, in canonical order."""
     allowed = ox.x.mask | ebit
     return tuple(
-        c for c in ox.minor.circuits if c.mask & ebit and c.mask & ~allowed == 0
+        c for c in ox.minor.circuits.masks if c & ebit and c & ~allowed == 0
     )
 
 
-def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
-    """All circuits C of the minor with C - X = {element}, in canonical
-    order; at least two."""
+def _ce_family(ox: OxleyMinor, element: str) -> tuple[int, ...]:
     if element not in ox.y:
         raise PreconditionViolated(f"element {element!r} is not in Y")
-    members = _ce_members(ox, element)
+    members = _ce_members(ox, 1 << ox.minor.ground.index(element))
     if len(members) < 2:
         raise TheoremViolation(
             f"only {len(members)} circuit(s) leave X exactly at {element!r}; "
             "at least two are guaranteed"
         )
     return members
+
+
+def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
+    """All circuits C of the minor with C - X = {element}, in canonical
+    order; at least two."""
+    return tuple(map(ox.minor.ground.from_mask, _ce_family(ox, element)))
 
 
 class SuiteResult(Record):
@@ -435,6 +420,7 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
     the two-member criterion |C_e| = 2 iff the pair meets only in e.
     """
     n = ox.minor
+    wrap = n.ground.from_mask  # names a mask in a failure message
     k = ox.k
     stats = {
         "families": 0,
@@ -449,14 +435,14 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
 
     for element in ox.y.labels():
         ebit = 1 << n.ground.index(element)
-        members = _ce_members(ox, element)
+        members = _ce_members(ox, ebit)
         stats["families"] += 1
         for c in members:
-            if not 3 <= len(c) <= k:
-                return fail(f"member {c!r} of C_{element} has size {len(c)}")
-            rc = n.rank(c)
+            if not 3 <= c.bit_count() <= k:
+                return fail(f"member {wrap(c)!r} of C_{element} has size {c.bit_count()}")
+            rc = n._greedy_basis_mask(c).bit_count()
             if not 2 <= rc <= k - 1:
-                return fail(f"member {c!r} of C_{element} has rank {rc}")
+                return fail(f"member {wrap(c)!r} of C_{element} has rank {rc}")
         if len(members) < 2:
             return fail(f"|C_{element}| = {len(members)} < 2")
         if len(members) == 2:
@@ -469,21 +455,22 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
             for j in range(i + 1, len(members)):
                 c1, c2 = members[i], members[j]
                 stats["pair_union_checks"] += 1
-                if (c1.mask | c2.mask) != union_target:
+                if (c1 | c2) != union_target:
                     return fail(
-                        f"{c1!r} and {c2!r} in C_{element} do not union to X + e"
+                        f"{wrap(c1)!r} and {wrap(c2)!r} in C_{element} do not union to X + e"
                     )
-                meet = c1.mask & c2.mask
+                meet = c1 & c2
                 if meet == ebit:
                     pair_meets_only_e = True
                 required = ox.x.mask & ~meet
                 for c in members:
-                    if c is c1 or c is c2:
+                    if c == c1 or c == c2:
                         continue
                     stats["third_member_checks"] += 1
-                    if required & ~(c.mask & ~ebit):
+                    if required & ~(c & ~ebit):
                         return fail(
-                            f"{c!r} misses X - ({c1!r} & {c2!r}) in C_{element}"
+                            f"{wrap(c)!r} misses X - ({wrap(c1)!r} & {wrap(c2)!r}) "
+                            f"in C_{element}"
                         )
         if (len(members) == 2) != pair_meets_only_e:
             return fail(
@@ -502,9 +489,11 @@ def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
     larger side's difference.
     """
     n = ox.minor
+    wrap = n.ground.from_mask  # names a mask in a failure message
+    x, y = ox.x.mask, ox.y.mask
     stats = {"qualifying_pairs": 0, "clause1_applications": 0, "clause2_applications": 0}
-    qual = [c for c in n.circuits if len(c & ox.y) == 1]
     masks = n.circuits.masks
+    qual = [c for c in masks if (c & y).bit_count() == 1]
 
     def fail(msg: str) -> SuiteResult:
         return SuiteResult("fail", stats, msg)
@@ -512,46 +501,47 @@ def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
     for i in range(len(qual)):
         for j in range(i + 1, len(qual)):
             c, cp = qual[i], qual[j]
-            if not c.mask & cp.mask:
+            if not c & cp:
                 continue
             stats["qualifying_pairs"] += 1
-            union = c.mask | cp.mask
-            cx, cpx = c.mask & ox.x.mask, cp.mask & ox.x.mask
-            if ox.x.mask & ~union:
+            union = c | cp
+            cx, cpx = c & x, cp & x
+            if x & ~union:
                 stats["clause1_applications"] += 1
                 nested = cx & ~cpx == 0 or cpx & ~cx == 0
                 if not nested:
-                    sym = c.mask ^ cp.mask
+                    sym = c ^ cp
                     ok = any(
                         sym & ~m == 0 and m & ~union == 0 and m != union
                         for m in masks
                     )
                     if not ok:
                         return fail(
-                            f"no nesting and no squeezed circuit for {c!r}, {cp!r}"
+                            "no nesting and no squeezed circuit for "
+                            f"{wrap(c)!r}, {wrap(cp)!r}"
                         )
             for a, b in ((c, cp), (cp, c)):
-                ax, bx = a.mask & ox.x.mask, b.mask & ox.x.mask
+                ax, bx = a & x, b & x
                 if bx & ~ax == 0 and bx != ax:
                     stats["clause2_applications"] += 1
-                    if (a.mask & ox.y.mask) == (b.mask & ox.y.mask):
+                    if (a & y) == (b & y):
                         return fail(
-                            f"{a!r} and {b!r} share their Y-part despite "
+                            f"{wrap(a)!r} and {wrap(b)!r} share their Y-part despite "
                             "strictly nested X-parts"
                         )
-                    uni = a.mask | b.mask
-                    uni_y = uni & ox.y.mask
-                    diff = a.mask & ~b.mask
+                    uni = a | b
+                    uni_y = uni & y
+                    diff = a & ~b
                     ok = any(
                         m & ~uni == 0
                         and m != uni
-                        and (m & ox.y.mask) == uni_y
+                        and (m & y) == uni_y
                         and diff & ~m == 0
                         for m in masks
                     )
                     if not ok:
                         return fail(
-                            f"no witness circuit inside {a!r} | {b!r} carrying "
+                            f"no witness circuit inside {wrap(a)!r} | {wrap(b)!r} carrying "
                             "its Y-part and the difference"
                         )
     return SuiteResult("pass", stats)
@@ -563,20 +553,21 @@ def check_rank2_circuits(ox: OxleyMinor) -> SuiteResult:
     one element with Y-parts differing and symmetric difference a 4-circuit.
     """
     n = ox.minor
+    wrap = n.ground.from_mask  # names a mask in a failure message
     stats = {"rank2_circuits": 0, "pairs_checked": 0, "intersecting_pairs": 0}
-    r2 = [c for c in n.circuits if len(c) == 3]
+    r2 = [c for c, size in zip(n.circuits.masks, n.circuits.sizes) if size == 3]
 
     def fail(msg: str) -> SuiteResult:
         return SuiteResult("fail", stats, msg)
 
     for c in r2:
         stats["rank2_circuits"] += 1
-        if n.rank(c) != 2:
-            return fail(f"3-circuit {c!r} does not have rank 2")
-        if len(c & ox.y) != 1:
-            return fail(f"rank-2 circuit {c!r} does not meet Y in one element")
-        if n.closure(c) != c:
-            return fail(f"rank-2 circuit {c!r} is not a flat")
+        if n._greedy_basis_mask(c).bit_count() != 2:
+            return fail(f"3-circuit {wrap(c)!r} does not have rank 2")
+        if (c & ox.y.mask).bit_count() != 1:
+            return fail(f"rank-2 circuit {wrap(c)!r} does not meet Y in one element")
+        if n._closure_mask(c) != c:
+            return fail(f"rank-2 circuit {wrap(c)!r} is not a flat")
     if ox.k >= 5:
         for i in range(len(r2)):
             for j in range(i + 1, len(r2)):
@@ -586,16 +577,18 @@ def check_rank2_circuits(ox: OxleyMinor) -> SuiteResult:
                 if not meet:
                     continue
                 stats["intersecting_pairs"] += 1
-                if len(meet) != 1:
-                    return fail(f"rank-2 circuits {c!r}, {cp!r} meet in {meet!r}")
-                if len((c | cp) & ox.y) != 2:
+                if meet.bit_count() != 1:
                     return fail(
-                        f"union of {c!r}, {cp!r} does not meet Y in two elements"
+                        f"rank-2 circuits {wrap(c)!r}, {wrap(cp)!r} meet in {wrap(meet)!r}"
+                    )
+                if ((c | cp) & ox.y.mask).bit_count() != 2:
+                    return fail(
+                        f"union of {wrap(c)!r}, {wrap(cp)!r} does not meet Y in two elements"
                     )
                 sym = c ^ cp
-                if len(sym) != 4 or sym not in n.circuits:
+                if sym.bit_count() != 4 or sym not in n.circuits:
                     return fail(
-                        f"symmetric difference {sym!r} of {c!r}, {cp!r} "
+                        f"symmetric difference {wrap(sym)!r} of {wrap(c)!r}, {wrap(cp)!r} "
                         "is not a 4-circuit"
                     )
     return SuiteResult("pass", stats)
@@ -645,57 +638,55 @@ def witness_k5(ox: OxleyMinor) -> CCIntersection:
     if ox.k != 5:
         raise PreconditionViolated(f"k = {ox.k}; this witness is for k = 5")
     n = ox.minor
+    g = n.ground
+    x, y = ox.x.mask, ox.y.mask
     co = cocircuits(n)
     # Branch (a): a size-4 circuit or cocircuit with exactly one Y element.
-    for c in n.circuits:
-        if len(c) == 4 and len(c & ox.y) == 1:
-            found = CCIntersection(c, ox.x)
+    for c, size in zip(n.circuits.masks, n.circuits.sizes):
+        if size == 4 and (c & y).bit_count() == 1:
+            found = CCIntersection(g.from_mask(c), ox.x)
             if found.size != 3:
                 raise TheoremViolation("size-4 circuit does not meet X in 3")
             return found
-    for d in co:
-        if len(d) == 4 and len(d & ox.y) == 1:
-            found = CCIntersection(ox.x, d)
+    for d, size in zip(co.masks, co.sizes):
+        if size == 4 and (d & y).bit_count() == 1:
+            found = CCIntersection(ox.x, g.from_mask(d))
             if found.size != 3:
                 raise TheoremViolation("size-4 cocircuit does not meet X in 3")
             return found
     # Branch (b): all one-Y circuits/cocircuits have size 3 or 5.
     c0 = next(
-        (d for d in co if len(d) == 5 and len(d & ox.y) == 1),
+        (d for d, size in zip(co.masks, co.sizes) if size == 5 and (d & y).bit_count() == 1),
         None,
     )
     if c0 is None:
         raise TheoremViolation(
             "no size-5 cocircuit with a single Y element; one is guaranteed"
         )
-    y1 = (c0 & ox.y).labels()[0]
-    missing = ox.x - c0
-    if len(missing) != 1:
-        raise TheoremViolation(f"cocircuit {c0!r} misses {missing!r} of X, not one")
-    x1 = missing.labels()[0]
-    y2 = next(lab for lab in ox.y.labels() if lab != y1)
-    fam = ce_family(ox, y2)
-    c1 = next((c for c in fam if x1 in c), None)
-    if c1 is None:
+    missing = x & ~c0
+    if missing.bit_count() != 1:
+        raise TheoremViolation(
+            f"cocircuit {g.from_mask(c0)!r} misses {g.from_mask(missing)!r} of X, not one"
+        )
+    (x1,) = g.labels_of(missing)
+    y2 = g.labels_of(y & ~c0)[0]  # the first Y element other than C0's one
+    # C_{y2} in canonical order, so its members through x1 by size.
+    through = [c for c in _ce_family(ox, y2) if c & missing]
+    if not through:
         raise TheoremViolation(
             f"no circuit leaving X at {y2} contains {x1}; one is guaranteed"
         )
-    if len(c1) == 5:
-        chosen = c1
-    elif len(c1) == 3:
-        chosen = next(
-            (c for c in fam if len(c) == 5 and x1 in c), None
-        )
-        if chosen is None:
-            raise TheoremViolation(
-                f"no size-5 circuit through {x1} leaving X at {y2}; "
-                "one is guaranteed"
-            )
-    else:
+    if through[0].bit_count() not in (3, 5):
         raise TheoremViolation(
-            f"one-Y circuit {c1!r} of size {len(c1)} after size-4 exclusion"
+            f"one-Y circuit {g.from_mask(through[0])!r} of size "
+            f"{through[0].bit_count()} after size-4 exclusion"
         )
-    found = CCIntersection(chosen, c0)
+    chosen = next((c for c in through if c.bit_count() == 5), None)
+    if chosen is None:
+        raise TheoremViolation(
+            f"no size-5 circuit through {x1} leaving X at {y2}; one is guaranteed"
+        )
+    found = CCIntersection(g.from_mask(chosen), g.from_mask(c0))
     if found.size != 3:
         raise TheoremViolation(
             f"witness pair meets in {found.size} elements instead of 3"
@@ -739,45 +730,32 @@ def lift_intersection(
     reduces to the minor circuit after contraction; dually for the
     cocircuit.  Any such pair meets in exactly the minor intersection.
     """
-    if sub.ground.labels != spec.removed.complement().labels():
+    del_mask = spec.deleted.mask
+    con_mask = spec.contracted.mask
+    g = spec.deleted.ground
+    if sub.ground.labels != g.labels_of(g.full_mask & ~(del_mask | con_mask)):
         raise PreconditionViolated("lift minor is not over the spec's survivors")
     if circuit_n not in sub.circuits:
         raise PreconditionViolated("lift input is not a circuit of the minor")
     if cocircuit_n not in cocircuits(sub):
         raise PreconditionViolated("lift input is not a cocircuit of the minor")
-    if not circuit_n & cocircuit_n:
+    if not circuit_n.mask & cocircuit_n.mask:
         raise PreconditionViolated("lift inputs are disjoint")
 
-    del_mask = spec.deleted.mask
-    con_mask = spec.contracted.mask
-    cn = circuit_n.to_ground(m.ground)
-    dn = cocircuit_n.to_ground(m.ground)
-
-    lifted_c = next(
-        (
-            c
-            for c in m.circuits
-            if c.mask & del_mask == 0 and c.mask & ~con_mask == cn.mask
-        ),
-        None,
-    )
+    cn = m.ground.mask_of(circuit_n)
+    dn = m.ground.mask_of(cocircuit_n)
+    # cn has no deleted element, so no circuit reducing to it has; dually for dn.
+    lifted_c = next((c for c in m.circuits.masks if c & ~con_mask == cn), None)
     if lifted_c is None:
         raise LiftFailed(f"no parent circuit lifts {circuit_n!r}")
-    lifted_d = next(
-        (
-            d
-            for d in cocircuits(m)
-            if d.mask & con_mask == 0 and d.mask & ~del_mask == dn.mask
-        ),
-        None,
-    )
+    lifted_d = next((d for d in cocircuits(m).masks if d & ~del_mask == dn), None)
     if lifted_d is None:
         raise LiftFailed(f"no parent cocircuit lifts {cocircuit_n!r}")
-    if (lifted_c & lifted_d) != (cn & dn):
+    if lifted_c & lifted_d != cn & dn:
         raise TheoremViolation(
             "lifted pair changed the intersection; lifting is buggy"
         )
-    return lifted_c, lifted_d
+    return m.ground.from_mask(lifted_c), m.ground.from_mask(lifted_d)
 
 
 class WitnessChain(Record):
@@ -889,7 +867,7 @@ def verify_conjecture(m: Matroid, cap: int = DEFAULT_PAIR_CAP) -> ConjectureRepo
                 f"{label}: size {k} achieved but size {k - 2} is not; "
                 "this would disprove the theorem and indicates a bug"
             )
-        ox = oxley_minor(m, first[k].circuit, first[k].cocircuit)
+        ox = oxley_minor(m, *map(m.ground.from_mask, first[k]))
         # Looked up at call time, so wrappers installed on the module apply.
         if k == 4:
             inner = witness_k4(ox)

@@ -111,13 +111,8 @@ def uniform(n: int, k: int) -> Matroid:
     """Rank-k uniform matroid on n elements: circuits are all (k+1)-subsets."""
     if n <= 0 or n > MAX_SCAN or k < 0 or k > n:
         raise InvalidParameter(f"uniform matroid needs 0 <= k <= n <= {MAX_SCAN}")
-    masks: list[int] = []
-    if k < n:
-        for combo in itertools.combinations(range(n), k + 1):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
+    # No (n+1)-subset exists, so u(n, n) gets no circuits.
+    masks = [sum(1 << i for i in c) for c in itertools.combinations(range(n), k + 1)]
     return Matroid(GroundSet(default_labels(n)), masks, name=f"u{n}_{k}")
 
 
@@ -330,7 +325,7 @@ def from_circuits(
 ) -> Matroid:
     """Matroid from an explicit circuit list; validates the axioms."""
     ground = GroundSet(labels)
-    return Matroid(ground, [ground.subset(c) for c in circuits], name=name)
+    return Matroid(ground, [ground.mask_of(c) for c in circuits], name=name)
 
 
 NAMED_CATALOG = ("fano", "nonfano", "k4", "k5", "wheel3", "vamos")

@@ -3,7 +3,9 @@
 A matroid is stored as the full list of its circuits (minimal dependent
 sets) over a labelled ground set of at most ``MAX_SCAN`` elements, and one
 ``dependency_table``, a bitset over all subsets marking those that contain
-a circuit.  Subsets are int bitmasks, and every derived query -- axiom
+a circuit.  Inside the package subsets are int bitmasks; an ``ElemSet``,
+a mask with its ground set, is made only where a public function, a
+report or the CLI hands one out.  Every derived query -- axiom
 validation, rank, closure, simplicity -- is a lookup in that table.  The
 table is closed upwards from the circuits, or handed over by a producer
 that has closed it already, and then its minimal sets are the circuits.
@@ -268,11 +270,17 @@ class GroundSet:
     def label(self, index: int) -> str:
         return self.labels[index]
 
-    def subset(self, labels: Iterable[str]) -> "ElemSet":
+    def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
         for lab in labels:
             mask |= 1 << self.index(lab)
-        return ElemSet(self, mask)
+        return mask
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in bit_indices(mask))
+
+    def subset(self, labels: Iterable[str]) -> "ElemSet":
+        return ElemSet(self, self.mask_of(labels))
 
     def singleton(self, label: str) -> "ElemSet":
         return ElemSet(self, 1 << self.index(label))
@@ -371,14 +379,13 @@ class ElemSet:
         )
 
     def __iter__(self) -> Iterator[str]:
-        for i in bit_indices(self.mask):
-            yield self.ground.labels[i]
+        return iter(self.labels())
 
     def indices(self) -> tuple[int, ...]:
         return tuple(bit_indices(self.mask))
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self)
+        return self.ground.labels_of(self.mask)
 
     def to_ground(self, other: GroundSet) -> "ElemSet":
         """Translate by labels onto another ground set."""
@@ -389,9 +396,11 @@ class ElemSet:
 
 
 class CircuitFamily:
-    """Deduplicated list of circuits held in canonical order."""
+    """Deduplicated list of circuits held in canonical order, as masks
+    (``masks``, with their ``sizes``).  Indexing and iteration wrap a mask
+    in an ``ElemSet`` when it is read; the package itself reads masks."""
 
-    __slots__ = ("ground", "sets", "masks", "sizes", "_members")
+    __slots__ = ("ground", "masks", "sizes", "_members")
 
     def __init__(self, ground: GroundSet, circuits: Iterable[ElemSet | int]) -> None:
         masks = set()
@@ -402,21 +411,22 @@ class CircuitFamily:
                 masks.add(c.mask)
             else:
                 masks.add(int(c))
+        if any(m >> ground.size for m in masks):  # negative masks included
+            raise InvalidParameter("subset mask has bits outside its ground set")
         ordered = sorted(masks, key=mask_sort_key)
         self.ground = ground
         self.masks = tuple(ordered)
         self.sizes = tuple(m.bit_count() for m in ordered)
-        self.sets = tuple(ElemSet(ground, m) for m in ordered)
         self._members = frozenset(ordered)
 
     def __iter__(self) -> Iterator[ElemSet]:
-        return iter(self.sets)
+        return map(self.ground.from_mask, self.masks)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __getitem__(self, i: int) -> ElemSet:
-        return self.sets[i]
+        return ElemSet(self.ground, self.masks[i])
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, ElemSet):
@@ -436,7 +446,7 @@ class CircuitFamily:
         return hash((self.ground, self.masks))
 
     def __repr__(self) -> str:
-        return f"CircuitFamily({len(self.sets)} circuits)"
+        return f"CircuitFamily({len(self.masks)} circuits)"
 
 
 class AxiomReport(Record):
@@ -493,7 +503,7 @@ def validate_circuit_axioms(
 
     # C1: the empty set is never a circuit.  Canonical order puts it first.
     if n and sizes[0] == 0:
-        return AxiomReport(False, "C1", (fam.sets[0],))
+        return AxiomReport(False, "C1", (fam[0],))
 
     if table is None:
         table = dependency_table(g.size, masks)
@@ -507,7 +517,7 @@ def validate_circuit_axioms(
             mi = masks[i]
             for j in range(i + 1, n):
                 if sizes[j] > sizes[i] and mi & ~masks[j] == 0:
-                    return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
+                    return AxiomReport(False, "C2", (fam[i], fam[j]))
 
     # C3 (weak elimination): for distinct circuits and any common element e,
     # the union minus e must contain some member.  A bitset pass proves it;
@@ -525,7 +535,7 @@ def validate_circuit_axioms(
                     return AxiomReport(
                         False,
                         "C3",
-                        (fam.sets[i], fam.sets[j]),
+                        (fam[i], fam[j]),
                         g.label(low.bit_length() - 1),
                     )
                 common ^= low
@@ -619,9 +629,6 @@ class Matroid:
         self._own(subset)
         return not self._dependent_mask(subset.mask)
 
-    def is_basis(self, subset: ElemSet) -> bool:
-        return len(subset) == self._rank_full and self.is_independent(subset)
-
     def rank(self, subset: ElemSet | None = None) -> int:
         """Size of a maximum independent subset (of the whole ground if None)."""
         if subset is None:
@@ -673,19 +680,17 @@ class Matroid:
     def restrict(self, subset: ElemSet) -> "Matroid":
         """Matroid on the subset whose circuits are those contained in it."""
         self._own(subset)
-        new_ground = GroundSet(subset.labels())
-        masks = compress_masks(
-            (m for m in self.circuits.masks if m & ~subset.mask == 0), subset.mask
-        )
-        return Matroid(new_ground, masks, validate=False)
+        return self._restricted(subset.mask)
+
+    def _restricted(self, kept: int) -> "Matroid":
+        masks = compress_masks((m for m in self.circuits.masks if m & ~kept == 0), kept)
+        return Matroid(GroundSet(self.ground.labels_of(kept)), masks, validate=False)
 
     def is_uniform(self, n: int, k: int) -> bool:
         """True iff the circuit family is exactly that of the rank-k uniform
         matroid on n elements (all (k+1)-subsets; empty when k = n)."""
         if self.size != n or k < 0 or k > n:
             return False
-        if k == n:
-            return len(self.circuits) == 0
         want = comb(n, k + 1)
         return len(self.circuits) == want and all(s == k + 1 for s in self.circuits.sizes)
 

@@ -43,10 +43,6 @@ class MinorSpec(Record):
     def empty(cls, ground: GroundSet) -> "MinorSpec":
         return cls(ground.empty(), ground.empty())
 
-    @property
-    def removed(self) -> ElemSet:
-        return self.deleted | self.contracted
-
     def is_empty(self) -> bool:
         return not self.deleted and not self.contracted
 
@@ -84,19 +80,21 @@ def delete(m: Matroid, removed: ElemSet) -> Matroid:
         raise InvalidParameter("removed set over a different ground set")
     if not removed:
         return m
-    return m.restrict(removed.complement())
+    return m._restricted(m.ground.full_mask & ~removed.mask)
 
 
-def contract(m: Matroid, removed: ElemSet) -> Matroid:
-    """Contraction: circuits are the minimal nonempty sets C - T."""
-    if removed.ground != m.ground:
+def contract(m: Matroid, removed: ElemSet | int) -> Matroid:
+    """Contraction: circuits are the minimal nonempty sets C - T.  The
+    removed set T is an ``ElemSet`` over m's ground set or its mask."""
+    mask = removed.mask if isinstance(removed, ElemSet) else removed
+    if mask >> m.size or isinstance(removed, ElemSet) and removed.ground != m.ground:
         raise InvalidParameter("removed set over a different ground set")
-    if not removed:
+    if not mask:
         return m
-    kept = removed.complement()
-    reduced = {c & kept.mask for c in m.circuits.masks if c & kept.mask}
-    table = dependency_table(len(kept), compress_masks(reduced, kept.mask))
-    return Matroid(GroundSet(kept.labels()), (), validate=False, table=table)
+    kept = m.ground.full_mask & ~mask
+    reduced = {c & kept for c in m.circuits.masks if c & kept}
+    table = dependency_table(kept.bit_count(), compress_masks(reduced, kept))
+    return Matroid(GroundSet(m.ground.labels_of(kept)), (), validate=False, table=table)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:
@@ -109,5 +107,6 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     if spec.is_empty():
         return m
     deleted = delete(m, spec.deleted)
-    return contract(deleted, spec.contracted.to_ground(deleted.ground))
+    kept = m.ground.full_mask & ~spec.deleted.mask
+    return contract(deleted, compress_masks((spec.contracted.mask,), kept)[0])
 

@@ -44,6 +44,12 @@ MINIMALITY = ("tests/test_construct.py", "tests/test_transform.py", "-k", "oracl
 INGEST = ("tests/test_cli.py", "-k", "rejects or non_utf8")
 INGEST_CAP = ("tests/test_cli.py", "-k", "refuses_large_circuits_file")
 TEXT_REPORT = ("tests/test_cli.py", "-k", "text_report")
+WITNESS_K5 = ("tests/test_analyze.py", "-k", "witness_k5")
+CE_FAMILIES = ("tests/test_analyze.py", "-k", "ce_famil")
+CIRCUIT_PAIRS = (
+    "tests/test_analyze.py", "tests/test_acceptance.py", "-k", "circuit_pairs or criterion_4"
+)
+LIFT = ("tests/test_analyze.py", "-k", "lift")
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,10 @@ MUTANTS = (
         # of their upward closure.
         "minimal-members-shifts-the-members",
         TRANSFORM,
-        "table = dependency_table(len(kept), compress_masks(reduced, kept.mask))",
+        "table = dependency_table(kept.bit_count(), compress_masks(reduced, kept))",
         "from .core import _member_bits, _table_bytes\n"
         "    table = _table_bytes(\n"
-        "        len(kept), _member_bits(len(kept), compress_masks(reduced, kept.mask))\n"
+        "        kept.bit_count(), _member_bits(kept.bit_count(), compress_masks(reduced, kept))\n"
         "    )",
         MINIMALITY,
     ),
@@ -210,6 +216,43 @@ MUTANTS = (
         "if rank(x_mask & ~bit) < k - 1:",
         "if rank(x_mask & ~bit) < k - 2:",
         EXTRACTION,
+    ),
+    Mutant(
+        # A size-4 circuit with two Y elements meets X in two, not three.
+        "witness-k5-direct-branch-skips-the-one-y-test",
+        ANALYZE,
+        "if size == 4 and (c & y).bit_count() == 1:",
+        "if size == 4:",
+        WITNESS_K5,
+    ),
+    Mutant(
+        # c2 is then checked as a third member of its own pair.
+        "ce-families-third-member-skips-only-c1",
+        ANALYZE,
+        "if c == c1 or c == c2:",
+        "if c == c1:",
+        CE_FAMILIES,
+    ),
+    Mutant(
+        "circuit-pairs-clause-1-applied-when-x-is-covered",
+        ANALYZE,
+        "            if x & ~union:\n",
+        "            if True:\n",
+        CIRCUIT_PAIRS,
+    ),
+    Mutant(
+        "circuit-pairs-witness-y-part-shrunk",
+        ANALYZE,
+        "and (m & y) == uni_y",
+        "and (m & y) == uni_y & ~diff",
+        CIRCUIT_PAIRS,
+    ),
+    Mutant(
+        "lift-cocircuit-matched-whole",
+        ANALYZE,
+        "if d & ~del_mask == dn)",
+        "if d == dn)",
+        LIFT,
     ),
     Mutant(
         "no-rows-list-check",

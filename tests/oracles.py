@@ -9,12 +9,16 @@ references for the faster ones that replaced them:
 ``mask_sort_key`` and ``compress_mask`` for the bit-reversal key and the
 run-shifting re-indexing in ``core``, ``hyperplanes_by_closures`` for the
 cocircuits read off the dependency table, and ``oxley_minor_by_minors``
-for the extraction that prunes on the parent's ranks.  The validator shares
-only the report and family types; the extraction search builds its
-minors with the package's ``delete`` and ``contract`` and checks them
-with ``OxleyMinor.invariant_failures``, so it is a reference for the
-search alone.  Both import from the package when called, so that this
-module loads without the package on the import path.
+for the extraction that prunes on the parent's ranks.  Two are former
+package functions that no program path called: ``cc_intersections``, the
+brute-force list of every meeting circuit/cocircuit pair (the reference
+for ``achieved_sizes`` and each size's first pair), and ``is_basis``.
+The validator shares only the report and family types; the extraction
+search builds its minors with the package's ``delete`` and ``contract``
+and checks them with ``OxleyMinor.invariant_failures``, so it is a
+reference for the search alone.  Every oracle that uses the package
+imports it when called, so that this module loads without the package on
+the import path, and loading it adds no package module to a process.
 """
 
 from __future__ import annotations
@@ -70,6 +74,25 @@ def brute_rank(matroid, subset_mask: int) -> int:
         if size > best and matroid.is_independent(ground.from_mask(sub)):
             best = size
     return best
+
+
+def is_basis(matroid, subset) -> bool:
+    """An independent set of full rank."""
+    return len(subset) == matroid.rank() and matroid.is_independent(subset)
+
+
+def cc_intersections(matroid, cap: int | None = None) -> list:
+    """Every intersecting circuit/cocircuit pair as a ``CCIntersection``,
+    in canonical pair order: by circuit index, then cocircuit index.  More
+    than ``cap`` pairs (default ``DEFAULT_PAIR_CAP``) raise ``CapExceeded``."""
+    from matroidcc import DEFAULT_PAIR_CAP, CapExceeded, CCIntersection, cocircuits
+
+    co = cocircuits(matroid)
+    cap = DEFAULT_PAIR_CAP if cap is None else cap
+    total = len(matroid.circuits) * len(co)
+    if total > cap:
+        raise CapExceeded(f"{total} circuit-cocircuit pairs exceed the cap of {cap}")
+    return [CCIntersection(c, d) for c in matroid.circuits for d in co if c.mask & d.mask]
 
 
 def brute_dual_circuit_masks(matroid) -> list[int]:
@@ -247,14 +270,14 @@ def validate_circuit_axioms_scan(
 
     # C1: the empty set is never a circuit.  Canonical order puts it first.
     if n and sizes[0] == 0:
-        return AxiomReport(False, "C1", (fam.sets[0],))
+        return AxiomReport(False, "C1", (fam[0],))
 
     # C2: no circuit contains another.  Sizes ascend, so only i < j can nest.
     for i in range(n):
         mi = masks[i]
         for j in range(i + 1, n):
             if sizes[j] > sizes[i] and mi & ~masks[j] == 0:
-                return AxiomReport(False, "C2", (fam.sets[i], fam.sets[j]))
+                return AxiomReport(False, "C2", (fam[i], fam[j]))
 
     # C3 (weak elimination): for distinct circuits and any common element e,
     # the union minus e must contain some member.  A cached witness is tried
@@ -282,7 +305,7 @@ def validate_circuit_axioms_scan(
                         break
                 if not found:
                     return AxiomReport(
-                        False, "C3", (fam.sets[i], fam.sets[j]), g.label(e)
+                        False, "C3", (fam[i], fam[j]), g.label(e)
                     )
                 witness = found
     return AxiomReport(True)

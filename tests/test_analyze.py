@@ -13,7 +13,6 @@ from matroidcc import analyze, cli
 from matroidcc import (
     MinorSpec,
     achieved_sizes,
-    cc_intersections,
     ce_family,
     check_ce_families,
     check_circuit_pairs,
@@ -29,6 +28,7 @@ from matroidcc import (
 )
 
 import oracles
+from oracles import cc_intersections
 from test_construct import columns_with_loops_and_parallels
 
 
@@ -615,3 +615,38 @@ def test_verify_reports_sizes_beyond_six_without_asserting():
         (4, 2), (5, 3), (6, 4),
     ]
     assert report.out_of_scope == ((7, True),)
+
+
+def test_duality_keeps_sizes_chains_and_extracted_minors(
+    catalog, conjecture_reports, bench_inputs, tmp_path
+):
+    # The circuits of M* are the cocircuits of M, so M and M* achieve the
+    # same sizes; and if N = M \ D / C realizes X as a circuit and a
+    # cocircuit of rank k - 1, so does N* = M* / D \ C (Oxley, Matroid
+    # Theory, §2.1 and §3.1).  This checks the table dual, the handed-over
+    # tables, minor and extraction against each other on the seed-1
+    # catalog and the slot-1 scale and linear_gf3 inputs.
+    inputs = [(m, conjecture_reports[name]) for name, m in catalog]
+    for workload in ("scale", "linear_gf3"):
+        pinned = bench_inputs.load_pinned(workload)["slots"][bench_inputs.slot_of(1)]
+        out = tmp_path / workload
+        bench_inputs.write_documents(bench_inputs.documents(workload, pinned["instances"]), out)
+        for path in sorted(out.glob("*.json")):
+            m = cli.parse_matroid(path)
+            inputs.append((m, verify_conjecture(m)))
+    chains = 0
+    for m, report in inputs:
+        d = mc.dual(m)
+        assert achieved_sizes(d) == report.achieved, m.name
+        dual_report = verify_conjecture(d)
+        assert "fail" not in [s.status for s in dual_report.suites.values()], m.name
+        for chain in report.entries:
+            ox = chain.minor
+            swapped = MinorSpec(ox.spec.contracted, ox.spec.deleted)
+            n_star = mc.minor(d, swapped)
+            assert n_star == mc.dual(ox.minor), (m.name, chain.k)
+            x = n_star.ground.subset(ox.x)
+            dual_ox = mc.OxleyMinor(swapped, n_star, x, x.complement(), chain.k)
+            assert dual_ox.invariant_failures() == (), (m.name, chain.k)
+            chains += 1
+    assert chains == 33 + 8 + 45

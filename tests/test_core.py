@@ -12,7 +12,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
-from matroidcc import GroundSet, Matroid
+from matroidcc import GroundSet, Matroid, MinorSpec, core
 
 import oracles
 from test_construct import columns_with_loops_and_parallels
@@ -642,3 +642,38 @@ def test_is_uniform_checks():
 def test_matroids_are_value_equal():
     assert mc.uniform(4, 2) == mc.uniform(4, 2)
     assert mc.uniform(4, 2) != mc.uniform(4, 3)
+
+
+def test_mask_paths_make_no_elem_set(monkeypatch):
+    # Inside the package subsets are masks; an ElemSet is made only where a
+    # public function hands one out, and none of these does.
+    labels = [str(i) for i in range(1, 8)]
+    circuits = [list(c) for c in itertools.combinations(labels, 4)]
+    row_space, kernel = mc.random_matrix(5, 9, 2, 3), mc.random_matrix(5, 9, 6, 3)
+    m = mc.from_matrix(row_space)
+    assert m._co_table is not None and mc.from_matrix(kernel)._co_table is None
+    spec = MinorSpec(m.ground.subset(["1", "2"]), m.ground.subset(["3"]))
+    made: list[int] = []
+    init = core.ElemSet.__init__
+
+    def counting(self, ground, mask):
+        made.append(mask)
+        init(self, ground, mask)
+
+    monkeypatch.setattr(core.ElemSet, "__init__", counting)
+    m.circuits[0]
+    assert len(made) == 1  # the count sees a construction
+    calls = {
+        "from_circuits": lambda: mc.from_circuits(labels, circuits),
+        "from_matrix, row space": lambda: mc.from_matrix(row_space),
+        "from_matrix, kernel": lambda: mc.from_matrix(kernel),
+        "dual": lambda: mc.dual(m),
+        "minor": lambda: mc.minor(m, spec),
+        "validate_circuit_axioms": lambda: mc.validate_circuit_axioms(m.circuits),
+        "achieved_sizes": lambda: mc.achieved_sizes(m),
+    }
+    for name, call in calls.items():
+        made.clear()
+        call()
+        assert made == [], name
+    assert mc.validate_circuit_axioms(m.circuits).ok  # the family above is valid

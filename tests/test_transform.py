@@ -78,7 +78,7 @@ def test_basis_complementation(name):
     for sub in oracles.submasks(g.full_mask):
         s = g.from_mask(sub)
         co = g.from_mask(g.full_mask & ~sub)
-        assert m.is_basis(s) == d.is_basis(co)
+        assert oracles.is_basis(m, s) == oracles.is_basis(d, co)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,16 @@ def test_contract_fano_point_gives_three_parallel_pairs():
     assert (m.size, m.rank()) == (6, 2)
     pairs = [c for c in m.circuits if len(c) == 2]
     assert len(pairs) == 3  # the three lines through the point collapse
+
+
+def test_contract_takes_the_removed_set_as_a_mask_too():
+    f7 = mc.named("fano")
+    t = f7.ground.subset(["1", "4"])
+    assert contract(f7, t.mask) == contract(f7, t)
+    assert contract(f7, 0) is f7
+    for outside in (1 << 7, -1):
+        with pytest.raises(mc.InvalidParameter):
+            contract(f7, outside)
 
 
 @pytest.mark.parametrize("name", SAMPLE)
