@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import ElemSet, Matroid, Record, bit_indices
+from .core import DEFAULT_PAIR_CAP, ElemSet, Matroid, Record, bit_indices
 from .errors import (
     CapExceeded,
     ExtractionFailed,
@@ -25,8 +25,6 @@ from .errors import (
     TheoremViolation,
 )
 from .transform import MinorSpec, cocircuits, dual, minor
-
-DEFAULT_PAIR_CAP = 10_000_000
 
 
 class CCIntersection(Record):

@@ -10,21 +10,25 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import analyze, construct, transform
-from .core import MAX_SCAN, Matroid
+from . import construct
+from .core import DEFAULT_PAIR_CAP, MAX_SCAN, Matroid
 from .errors import (
     CapExceeded,
     MatroidError,
     ParseError,
     TheoremViolation,
 )
+
+if TYPE_CHECKING:
+    from . import analyze
 
 REPORT_VERSION = 1
 
@@ -264,13 +268,19 @@ def graph_doc(spec: construct.GraphSpec, name: str) -> dict:
 
 def catalog_documents(seed: int = 1) -> list[tuple[str, dict]]:
     """The standard catalog as (filename, document) pairs, seed-stable.
-    Each named matroid is written from ``construct.named_source``: as its
-    matrix, its graph, or (Vámos) its circuits."""
+    Each uniform matroid u{n}_{k} is written as its (k+1)-subsets of the
+    labels "1".."n" in lex order, which is the canonical order of one
+    size, without building it.  Each named matroid is written from
+    ``construct.named_source``: as its matrix, its graph, or (Vámos) its
+    circuits."""
     out: list[tuple[str, dict]] = []
     for n in range(4, 11):
+        labels = list(construct.default_labels(n))
         for k in range(1, n):
-            m = construct.uniform(n, k)
-            out.append((f"u{n}_{k}.json", matroid_doc(m, name=f"u{n}_{k}")))
+            name = f"u{n}_{k}"
+            circuits = [list(c) for c in itertools.combinations(labels, k + 1)]
+            doc = {"format": "circuits", "name": name, "ground": labels, "circuits": circuits}
+            out.append((f"{name}.json", doc))
     for name in construct.NAMED_CATALOG:
         source = construct.named_source(name)
         if isinstance(source, construct.MatrixOverGF):
@@ -386,6 +396,11 @@ def report_text(report: analyze.ConjectureReport, ms: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here, not at module level, so that ``catalog`` never loads
+    # analyze or transform.  Calls go through the module object, whose
+    # attributes bench/tracer.py wraps.
+    from . import analyze
+
     if args.json:
         # An unwritable report path fails before any input is read.  Append
         # mode creates the file but never truncates it, so the path may also
@@ -445,6 +460,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    from . import analyze, transform
+
     m = parse_matroid(args.path)
     if args.circuits:
         for c in m.circuits:
@@ -522,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; has no effect (files run one by one)",
     )
     p_verify.add_argument(
-        "--cap", type=_pair_cap, default=analyze.DEFAULT_PAIR_CAP,
+        "--cap", type=_pair_cap, default=DEFAULT_PAIR_CAP,
         help="max circuit-cocircuit pairs per matroid",
     )
     p_verify.add_argument(
@@ -551,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inspect.add_argument("--out", help="write file output here instead of stdout")
     p_inspect.add_argument(
-        "--cap", type=_pair_cap, default=analyze.DEFAULT_PAIR_CAP,
+        "--cap", type=_pair_cap, default=DEFAULT_PAIR_CAP,
         help="max circuit-cocircuit pairs",
     )
     p_inspect.set_defaults(func=cmd_inspect)

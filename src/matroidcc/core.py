@@ -34,6 +34,9 @@ from .errors import (
 # 2^n bits, 128 KiB at this size.
 MAX_SCAN = 20
 
+# The default cap on the circuit-cocircuit pairs one matroid may have.
+DEFAULT_PAIR_CAP = 10_000_000
+
 
 def bit_indices(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a mask in ascending order."""

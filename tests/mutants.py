@@ -29,6 +29,7 @@ ANALYZE = "src/matroidcc/analyze.py"
 CLI = "src/matroidcc/cli.py"
 CONSTRUCT = "src/matroidcc/construct.py"
 CORE = "src/matroidcc/core.py"
+INIT = "src/matroidcc/__init__.py"
 TRANSFORM = "src/matroidcc/transform.py"
 
 # pytest selections the mutants run.
@@ -50,6 +51,8 @@ CIRCUIT_PAIRS = (
     "tests/test_analyze.py", "tests/test_acceptance.py", "-k", "circuit_pairs or criterion_4"
 )
 LIFT = ("tests/test_analyze.py", "-k", "lift")
+SUITE_LAWS = ("tests/test_analyze.py", "-k", "one_law")
+EXPORTS = ("tests/test_package.py",)
 
 
 @dataclass(frozen=True)
@@ -248,11 +251,65 @@ MUTANTS = (
         CIRCUIT_PAIRS,
     ),
     Mutant(
+        "circuit-pairs-squeezed-circuit-may-be-the-union",
+        ANALYZE,
+        "sym & ~m == 0 and m & ~union == 0 and m != union",
+        "sym & ~m == 0 and m & ~union == 0",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        # Canonical order puts the circuit with the smaller X-part first, so
+        # cx <= cpx is the direction that fires; cpx <= cx alone (dropping
+        # it) must be caught, while keeping only cx <= cpx changes nothing.
+        "circuit-pairs-nesting-tested-one-way",
+        ANALYZE,
+        "nested = cx & ~cpx == 0 or cpx & ~cx == 0",
+        "nested = cpx & ~cx == 0",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "circuit-pairs-witness-carries-the-smaller-difference",
+        ANALYZE,
+        "diff = a & ~b",
+        "diff = b & ~a",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-circuits-flat-test-dropped",
+        ANALYZE,
+        "if n._closure_mask(c) != c:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-families-two-member-criterion-dropped",
+        ANALYZE,
+        "if (len(members) == 2) != pair_meets_only_e:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
         "lift-cocircuit-matched-whole",
         ANALYZE,
         "if d & ~del_mask == dn)",
         "if d == dn)",
         LIFT,
+    ),
+    Mutant(
+        "export-taken-from-a-module-without-it",
+        INIT,
+        '"random_matrix": "construct",',
+        '"random_matrix": "core",',
+        EXPORTS,
+    ),
+    Mutant(
+        # Same object, since analyze imports it, but reading the cap then
+        # loads analyze and transform.
+        "pair-cap-exported-from-its-old-home",
+        INIT,
+        '"DEFAULT_PAIR_CAP": "core",',
+        '"DEFAULT_PAIR_CAP": "analyze",',
+        EXPORTS,
     ),
     Mutant(
         "no-rows-list-check",

@@ -378,6 +378,66 @@ def test_rank2_suite_intersecting_pairs_at_k5():
     assert report.exercised["intersecting_pairs"] >= 1
 
 
+def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
+    """An OxleyMinor over X = x1..xk and Y = y1..y(k-2) whose circuits are
+    ``circuits`` (labels split on spaces), built without axiom checks, so
+    that a family can break one suite law and keep the others."""
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    g = mc.GroundSet(xs + [f"y{i}" for i in range(1, k - 1)])
+    m = mc.Matroid(g, [g.subset(c.split()) for c in circuits], name="broken", validate=False)
+    x = g.subset(xs)
+    return mc.OxleyMinor(MinorSpec.empty(g), m, x, x.complement(), k)
+
+
+@pytest.mark.parametrize(
+    "suite,circuits,message",
+    [
+        pytest.param(
+            # C_y1's two members meet in x3 as well as in y1.
+            check_ce_families,
+            ["x1 x2 x3 y1", "x3 x4 y1", "x1 x2 y2", "x3 x4 y2"],
+            "two-member criterion fails for C_y1: size 2, pair-meets-only-e False",
+            id="ce-two-member-criterion",
+        ),
+        pytest.param(
+            # The only circuit between the symmetric difference and the
+            # union is the union itself, which does not squeeze.
+            check_circuit_pairs,
+            ["x1 x2 y1", "x2 x3 y2", "x1 x2 x3 y1 y2"],
+            "no nesting and no squeezed circuit for {x1,x2,y1}, {x2,x3,y2}",
+            id="pairs-squeezed-circuit-is-the-union",
+        ),
+        pytest.param(
+            # The circuit inside the union carries the smaller side's
+            # difference (y1), not the larger side's (x2, y2).
+            check_circuit_pairs,
+            ["x1 y1", "x1 x2 y2", "x1 y1 y2"],
+            "no witness circuit inside {x1,x2,y2} | {x1,y1} carrying its Y-part "
+            "and the difference",
+            id="pairs-witness-misses-the-larger-difference",
+        ),
+        pytest.param(
+            # The X-parts nest, so clause 1 holds; clause 2 then needs the
+            # Y-parts to differ.
+            check_circuit_pairs,
+            ["x1 y1", "x1 x2 y1"],
+            "{x1,x2,y1} and {x1,y1} share their Y-part despite strictly nested X-parts",
+            id="pairs-nested-x-parts-share-y",
+        ),
+        pytest.param(
+            # Each 3-circuit spans the other's Y element.
+            check_rank2_circuits,
+            ["x1 x2 y1", "x1 x2 y2"],
+            "rank-2 circuit {x1,x2,y1} is not a flat",
+            id="rank2-circuit-not-a-flat",
+        ),
+    ],
+)
+def test_suites_fail_on_a_family_that_breaks_one_law(suite, circuits, message):
+    report = suite(broken_minor(4, circuits))
+    assert (report.status, report.failure) == ("fail", message)
+
+
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------

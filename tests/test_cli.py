@@ -609,6 +609,17 @@ def test_catalog_contents_and_determinism(tmp_path, capsys):
         assert mc.validate_circuit_axioms(m.circuits).ok
 
 
+def test_uniform_catalog_documents_match_the_built_matroids():
+    # The catalog writes u{n}_{k} from its label subsets; the path it
+    # replaces built and validated the matroid and wrote its circuits.
+    docs = dict(cli.catalog_documents())
+    for n in range(4, 11):
+        for k in range(1, n):
+            name = f"u{n}_{k}"
+            assert docs[f"{name}.json"] == cli.matroid_doc(construct.uniform(n, k), name=name)
+    assert sum(f.startswith("u") for f in docs) == 42
+
+
 def test_catalog_u105_verifies_all_three(tmp_path, capsys):
     out = tmp_path / "cat"
     cli.main(["catalog", "--out", str(out)])
