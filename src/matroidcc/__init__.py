@@ -19,7 +19,6 @@ _EXPORTS = {
     "CCIntersection": "analyze",
     "ConjectureReport": "analyze",
     "OxleyMinor": "analyze",
-    "SuiteResult": "analyze",
     "WitnessChain": "analyze",
     "achieved_sizes": "analyze",
     "ce_family": "analyze",

@@ -398,24 +398,13 @@ def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
     return tuple(map(ox.minor.ground.from_mask, _ce_family(ox, element)))
 
 
-class SuiteResult(Record):
-    """One property suite's outcome, with how often each law was exercised."""
-
-    __slots__ = ("status", "exercised", "failure")
-
-    def __init__(
-        self, status: str, exercised: dict[str, int], failure: str | None = None
-    ) -> None:
-        self.status = status  # "pass" | "fail" | "vacuous"
-        self.exercised = exercised
-        self.failure = failure
-
-
-def check_ce_families(ox: OxleyMinor) -> SuiteResult:
+def check_ce_families(ox: OxleyMinor) -> dict[str, int]:
     """Laws of the families C_e (circuits leaving X at a single element e):
     member size and rank bounds, at least two members, pairwise unions
     covering X + e, third members containing X minus any pair's meet, and
     the two-member criterion |C_e| = 2 iff the pair meets only in e.
+    Returns how often each law was exercised; the first broken law raises
+    ``TheoremViolation``.
     """
     n = ox.minor
     wrap = n.ground.from_mask  # names a mask in a failure message
@@ -427,22 +416,18 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
         "pair_union_checks": 0,
         "third_member_checks": 0,
     }
-
-    def fail(msg: str) -> SuiteResult:
-        return SuiteResult("fail", stats, msg)
-
     for element in ox.y.labels():
         ebit = 1 << n.ground.index(element)
-        members = _ce_members(ox, ebit)
+        members = _ce_family(ox, element)
         stats["families"] += 1
         for c in members:
             if not 3 <= c.bit_count() <= k:
-                return fail(f"member {wrap(c)!r} of C_{element} has size {c.bit_count()}")
+                raise TheoremViolation(
+                    f"member {wrap(c)!r} of C_{element} has size {c.bit_count()}"
+                )
             rc = n._greedy_basis_mask(c).bit_count()
             if not 2 <= rc <= k - 1:
-                return fail(f"member {wrap(c)!r} of C_{element} has rank {rc}")
-        if len(members) < 2:
-            return fail(f"|C_{element}| = {len(members)} < 2")
+                raise TheoremViolation(f"member {wrap(c)!r} of C_{element} has rank {rc}")
         if len(members) == 2:
             stats["families_size_2"] += 1
         else:
@@ -454,7 +439,7 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
                 c1, c2 = members[i], members[j]
                 stats["pair_union_checks"] += 1
                 if (c1 | c2) != union_target:
-                    return fail(
+                    raise TheoremViolation(
                         f"{wrap(c1)!r} and {wrap(c2)!r} in C_{element} do not union to X + e"
                     )
                 meet = c1 & c2
@@ -466,25 +451,26 @@ def check_ce_families(ox: OxleyMinor) -> SuiteResult:
                         continue
                     stats["third_member_checks"] += 1
                     if required & ~(c & ~ebit):
-                        return fail(
+                        raise TheoremViolation(
                             f"{wrap(c)!r} misses X - ({wrap(c1)!r} & {wrap(c2)!r}) "
                             f"in C_{element}"
                         )
         if (len(members) == 2) != pair_meets_only_e:
-            return fail(
+            raise TheoremViolation(
                 f"two-member criterion fails for C_{element}: "
                 f"size {len(members)}, pair-meets-only-e {pair_meets_only_e}"
             )
-    return SuiteResult("pass", stats)
+    return stats
 
 
-def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
+def check_circuit_pairs(ox: OxleyMinor) -> dict[str, int]:
     """Laws for intersecting circuit pairs that each leave X at one element:
     (1) when X is not covered by the union, the X-parts nest or some circuit
     squeezes strictly between the symmetric difference and the union;
     (2) when one X-part strictly contains the other, the Y-parts differ and
     a circuit strictly inside the union carries the union's Y-part and the
-    larger side's difference.
+    larger side's difference.  Returns how often each law was exercised;
+    the first broken law raises ``TheoremViolation``.
     """
     n = ox.minor
     wrap = n.ground.from_mask  # names a mask in a failure message
@@ -492,10 +478,6 @@ def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
     stats = {"qualifying_pairs": 0, "clause1_applications": 0, "clause2_applications": 0}
     masks = n.circuits.masks
     qual = [c for c in masks if (c & y).bit_count() == 1]
-
-    def fail(msg: str) -> SuiteResult:
-        return SuiteResult("fail", stats, msg)
-
     for i in range(len(qual)):
         for j in range(i + 1, len(qual)):
             c, cp = qual[i], qual[j]
@@ -504,9 +486,11 @@ def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
             stats["qualifying_pairs"] += 1
             union = c | cp
             cx, cpx = c & x, cp & x
+            # Canonical order puts the smaller circuit first and each has one
+            # Y element, so cx is never the larger X-part: only cx <= cpx nests.
+            nested = cx & ~cpx == 0
             if x & ~union:
                 stats["clause1_applications"] += 1
-                nested = cx & ~cpx == 0 or cpx & ~cx == 0
                 if not nested:
                     sym = c ^ cp
                     ok = any(
@@ -514,58 +498,53 @@ def check_circuit_pairs(ox: OxleyMinor) -> SuiteResult:
                         for m in masks
                     )
                     if not ok:
-                        return fail(
+                        raise TheoremViolation(
                             "no nesting and no squeezed circuit for "
                             f"{wrap(c)!r}, {wrap(cp)!r}"
                         )
-            for a, b in ((c, cp), (cp, c)):
-                ax, bx = a & x, b & x
-                if bx & ~ax == 0 and bx != ax:
-                    stats["clause2_applications"] += 1
-                    if (a & y) == (b & y):
-                        return fail(
-                            f"{wrap(a)!r} and {wrap(b)!r} share their Y-part despite "
-                            "strictly nested X-parts"
-                        )
-                    uni = a | b
-                    uni_y = uni & y
-                    diff = a & ~b
-                    ok = any(
-                        m & ~uni == 0
-                        and m != uni
-                        and (m & y) == uni_y
-                        and diff & ~m == 0
-                        for m in masks
+            if nested and cx != cpx:
+                stats["clause2_applications"] += 1
+                if (cp & y) == (c & y):
+                    raise TheoremViolation(
+                        f"{wrap(cp)!r} and {wrap(c)!r} share their Y-part despite "
+                        "strictly nested X-parts"
                     )
-                    if not ok:
-                        return fail(
-                            f"no witness circuit inside {wrap(a)!r} | {wrap(b)!r} carrying "
-                            "its Y-part and the difference"
-                        )
-    return SuiteResult("pass", stats)
+                uni_y = union & y
+                diff = cp & ~c
+                ok = any(
+                    m & ~union == 0
+                    and m != union
+                    and (m & y) == uni_y
+                    and diff & ~m == 0
+                    for m in masks
+                )
+                if not ok:
+                    raise TheoremViolation(
+                        f"no witness circuit inside {wrap(cp)!r} | {wrap(c)!r} carrying "
+                        "its Y-part and the difference"
+                    )
+    return stats
 
 
-def check_rank2_circuits(ox: OxleyMinor) -> SuiteResult:
+def check_rank2_circuits(ox: OxleyMinor) -> dict[str, int]:
     """Laws for rank-2 circuits of the minor: each is a 3-element flat with
     exactly one Y element; for k >= 5, two of them are disjoint or meet in
     one element with Y-parts differing and symmetric difference a 4-circuit.
+    Returns how often each law was exercised; the first broken law raises
+    ``TheoremViolation``.
     """
     n = ox.minor
     wrap = n.ground.from_mask  # names a mask in a failure message
     stats = {"rank2_circuits": 0, "pairs_checked": 0, "intersecting_pairs": 0}
     r2 = [c for c, size in zip(n.circuits.masks, n.circuits.sizes) if size == 3]
-
-    def fail(msg: str) -> SuiteResult:
-        return SuiteResult("fail", stats, msg)
-
     for c in r2:
         stats["rank2_circuits"] += 1
         if n._greedy_basis_mask(c).bit_count() != 2:
-            return fail(f"3-circuit {wrap(c)!r} does not have rank 2")
+            raise TheoremViolation(f"3-circuit {wrap(c)!r} does not have rank 2")
         if (c & ox.y.mask).bit_count() != 1:
-            return fail(f"rank-2 circuit {wrap(c)!r} does not meet Y in one element")
+            raise TheoremViolation(f"rank-2 circuit {wrap(c)!r} does not meet Y in one element")
         if n._closure_mask(c) != c:
-            return fail(f"rank-2 circuit {wrap(c)!r} is not a flat")
+            raise TheoremViolation(f"rank-2 circuit {wrap(c)!r} is not a flat")
     if ox.k >= 5:
         for i in range(len(r2)):
             for j in range(i + 1, len(r2)):
@@ -576,20 +555,20 @@ def check_rank2_circuits(ox: OxleyMinor) -> SuiteResult:
                     continue
                 stats["intersecting_pairs"] += 1
                 if meet.bit_count() != 1:
-                    return fail(
+                    raise TheoremViolation(
                         f"rank-2 circuits {wrap(c)!r}, {wrap(cp)!r} meet in {wrap(meet)!r}"
                     )
                 if ((c | cp) & ox.y.mask).bit_count() != 2:
-                    return fail(
+                    raise TheoremViolation(
                         f"union of {wrap(c)!r}, {wrap(cp)!r} does not meet Y in two elements"
                     )
                 sym = c ^ cp
                 if sym.bit_count() != 4 or sym not in n.circuits:
-                    return fail(
+                    raise TheoremViolation(
                         f"symmetric difference {wrap(sym)!r} of {wrap(c)!r}, {wrap(cp)!r} "
                         "is not a 4-circuit"
                     )
-    return SuiteResult("pass", stats)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +758,10 @@ class WitnessChain(Record):
 
 
 class ConjectureReport(Record):
-    """Per-matroid verification outcome for the achieved sizes 4, 5, 6."""
+    """Per-matroid verification outcome for the achieved sizes 4, 5, 6.
+
+    ``suites`` maps each property suite to its law counts, summed over the
+    chains' minors; a broken law raises instead of being reported."""
 
     __slots__ = (
         "name",
@@ -803,7 +785,7 @@ class ConjectureReport(Record):
         achieved: tuple[int, ...],
         entries: tuple[WitnessChain, ...],
         out_of_scope: tuple[tuple[int, bool], ...],
-        suites: dict[str, SuiteResult],
+        suites: dict[str, dict[str, int]],
     ) -> None:
         self.name = name
         self.elements = elements
@@ -820,30 +802,22 @@ class ConjectureReport(Record):
         return not self.entries and not self.out_of_scope
 
 
-_SUITES: tuple[tuple[str, Callable[[OxleyMinor], SuiteResult]], ...] = (
+_SUITES: tuple[tuple[str, Callable[[OxleyMinor], dict[str, int]]], ...] = (
     ("ce_families", check_ce_families),
     ("circuit_pairs", check_circuit_pairs),
     ("rank2_circuits", check_rank2_circuits),
 )
 
 
-def _aggregate_suites(minors: list[OxleyMinor]) -> dict[str, SuiteResult]:
-    out: dict[str, SuiteResult] = {}
+def _aggregate_suites(minors: list[OxleyMinor]) -> dict[str, dict[str, int]]:
+    """Each suite's law counts summed over ``minors``; a broken law raises."""
+    out: dict[str, dict[str, int]] = {}
     for suite_name, check in _SUITES:
-        if not minors:
-            out[suite_name] = SuiteResult("vacuous", {})
-            continue
         totals: dict[str, int] = {}
-        failure: str | None = None
-        ok = True
         for ox in minors:
-            report = check(ox)
-            for key, count in report.exercised.items():
+            for key, count in check(ox).items():
                 totals[key] = totals.get(key, 0) + count
-            if report.status != "pass" and failure is None:
-                ok = False
-                failure = report.failure
-        out[suite_name] = SuiteResult("pass" if ok else "fail", totals, failure)
+        out[suite_name] = totals
     return out
 
 

@@ -259,19 +259,19 @@ MUTANTS = (
     ),
     Mutant(
         # Canonical order puts the circuit with the smaller X-part first, so
-        # cx <= cpx is the direction that fires; cpx <= cx alone (dropping
-        # it) must be caught, while keeping only cx <= cpx changes nothing.
+        # cx <= cpx is the only direction that can hold; testing the other
+        # one drops it.
         "circuit-pairs-nesting-tested-one-way",
         ANALYZE,
-        "nested = cx & ~cpx == 0 or cpx & ~cx == 0",
+        "nested = cx & ~cpx == 0",
         "nested = cpx & ~cx == 0",
         SUITE_LAWS,
     ),
     Mutant(
         "circuit-pairs-witness-carries-the-smaller-difference",
         ANALYZE,
-        "diff = a & ~b",
-        "diff = b & ~a",
+        "diff = cp & ~c",
+        "diff = c & ~cp",
         SUITE_LAWS,
     ),
     Mutant(
@@ -285,6 +285,76 @@ MUTANTS = (
         "ce-families-two-member-criterion-dropped",
         ANALYZE,
         "if (len(members) == 2) != pair_meets_only_e:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-families-member-size-unchecked",
+        ANALYZE,
+        "if not 3 <= c.bit_count() <= k:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-families-member-rank-unchecked",
+        ANALYZE,
+        "if not 2 <= rc <= k - 1:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-family-of-one-member-allowed",
+        ANALYZE,
+        "if len(members) < 2:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-families-pair-union-unchecked",
+        ANALYZE,
+        "if (c1 | c2) != union_target:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "ce-families-third-member-law-dropped",
+        ANALYZE,
+        "if required & ~(c & ~ebit):",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-circuits-rank-unchecked",
+        ANALYZE,
+        "if n._greedy_basis_mask(c).bit_count() != 2:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-circuits-one-y-test-dropped",
+        ANALYZE,
+        "if (c & ox.y.mask).bit_count() != 1:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-pairs-meet-unchecked",
+        ANALYZE,
+        "if meet.bit_count() != 1:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-pairs-union-y-part-unchecked",
+        ANALYZE,
+        "if ((c | cp) & ox.y.mask).bit_count() != 2:",
+        "if False:",
+        SUITE_LAWS,
+    ),
+    Mutant(
+        "rank2-pairs-symmetric-difference-unchecked",
+        ANALYZE,
+        "if sym.bit_count() != 4 or sym not in n.circuits:",
         "if False:",
         SUITE_LAWS,
     ),

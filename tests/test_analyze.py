@@ -331,14 +331,14 @@ def test_ce_families_suite_passes(source):
         ox = extract(mc.uniform(n, k), k + 1)
     else:
         ox = extract(mc.named(source), 4)
-    report = check_ce_families(ox)
-    assert report.status == "pass", report.failure
+    # A broken law raises; every law held, once per Y element's family.
+    assert check_ce_families(ox)["families"] == len(ox.y)
 
 
 def test_ce_families_exercises_both_cardinality_cases():
-    fano_stats = check_ce_families(extract(mc.named("fano"), 4)).exercised
+    fano_stats = check_ce_families(extract(mc.named("fano"), 4))
     assert fano_stats["families_size_2"] >= 1
-    uniform_stats = check_ce_families(extract(mc.uniform(6, 3), 4)).exercised
+    uniform_stats = check_ce_families(extract(mc.uniform(6, 3), 4))
     assert uniform_stats["families_size_gt_2"] >= 1
 
 
@@ -350,22 +350,20 @@ def test_ce_families_exercises_both_cardinality_cases():
 @pytest.mark.parametrize("source,k", [("u6_3", 4), ("u8_4", 5), ("fano", 4)])
 def test_circuit_pairs_suite_passes(source, k):
     m = mc.uniform(*map(int, source[1:].split("_"))) if source.startswith("u") else mc.named(source)
-    report = check_circuit_pairs(extract(m, k))
-    assert report.status == "pass", report.failure
+    # A broken law raises; every law held.
+    assert set(check_circuit_pairs(extract(m, k))) == {
+        "qualifying_pairs", "clause1_applications", "clause2_applications"
+    }
 
 
 def test_rank2_suite_vacuous_on_uniform_k5():
     ox = extract(mc.uniform(8, 4), 5)
-    report = check_rank2_circuits(ox)
-    assert report.status == "pass"
-    assert report.exercised["rank2_circuits"] == 0
+    assert check_rank2_circuits(ox)["rank2_circuits"] == 0
 
 
 def test_rank2_suite_nonvacuous_on_fano_minor():
     ox = extract(mc.named("fano"), 4)
-    report = check_rank2_circuits(ox)
-    assert report.status == "pass", report.failure
-    assert report.exercised["rank2_circuits"] == 4
+    assert check_rank2_circuits(ox)["rank2_circuits"] == 4
 
 
 def test_rank2_suite_intersecting_pairs_at_k5():
@@ -373,9 +371,7 @@ def test_rank2_suite_intersecting_pairs_at_k5():
     # meet, so the symmetric-difference clause runs non-vacuously.
     m = mc.random_linear(1011, 9, 4, 3)
     ox = extract(m, 5)
-    report = check_rank2_circuits(ox)
-    assert report.status == "pass", report.failure
-    assert report.exercised["intersecting_pairs"] >= 1
+    assert check_rank2_circuits(ox)["intersecting_pairs"] >= 1
 
 
 def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
@@ -390,11 +386,52 @@ def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
 
 
 @pytest.mark.parametrize(
-    "suite,circuits,message",
+    "suite,k,circuits,message",
     [
+        pytest.param(
+            # C_y1's members are {x1,y1} and {x2,x3,x4,y1}.
+            check_ce_families,
+            4,
+            ["x1 y1", "x2 x3 x4 y1"],
+            "member {x1,y1} of C_y1 has size 2",
+            id="ce-member-size",
+        ),
+        pytest.param(
+            # x1 and x2 are loops, so the 3-element member has rank 1.
+            check_ce_families,
+            4,
+            ["x1", "x2", "x1 x2 y1", "x3 x4 y1"],
+            "member {x1,x2,y1} of C_y1 has rank 1",
+            id="ce-member-rank",
+        ),
+        pytest.param(
+            check_ce_families,
+            4,
+            ["x1 x2 y1"],
+            "only 1 circuit(s) leave X exactly at 'y1'; at least two are guaranteed",
+            id="ce-one-member",
+        ),
+        pytest.param(
+            # Both members miss x4.
+            check_ce_families,
+            4,
+            ["x1 x2 y1", "x2 x3 y1"],
+            "{x1,x2,y1} and {x2,x3,y1} in C_y1 do not union to X + e",
+            id="ce-pair-union",
+        ),
+        pytest.param(
+            # The first pair meets only in y1, so the third member must hold
+            # all of X; it misses x4.
+            check_ce_families,
+            4,
+            ["x1 x2 y1", "x3 x4 y1", "x1 x2 x3 y1"],
+            "{x1,x2,x3,y1} misses X - ({x1,x2,y1} & {x3,x4,y1}) in C_y1",
+            id="ce-third-member",
+        ),
         pytest.param(
             # C_y1's two members meet in x3 as well as in y1.
             check_ce_families,
+            4,
             ["x1 x2 x3 y1", "x3 x4 y1", "x1 x2 y2", "x3 x4 y2"],
             "two-member criterion fails for C_y1: size 2, pair-meets-only-e False",
             id="ce-two-member-criterion",
@@ -403,6 +440,7 @@ def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
             # The only circuit between the symmetric difference and the
             # union is the union itself, which does not squeeze.
             check_circuit_pairs,
+            4,
             ["x1 x2 y1", "x2 x3 y2", "x1 x2 x3 y1 y2"],
             "no nesting and no squeezed circuit for {x1,x2,y1}, {x2,x3,y2}",
             id="pairs-squeezed-circuit-is-the-union",
@@ -411,6 +449,7 @@ def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
             # The circuit inside the union carries the smaller side's
             # difference (y1), not the larger side's (x2, y2).
             check_circuit_pairs,
+            4,
             ["x1 y1", "x1 x2 y2", "x1 y1 y2"],
             "no witness circuit inside {x1,x2,y2} | {x1,y1} carrying its Y-part "
             "and the difference",
@@ -420,22 +459,62 @@ def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
             # The X-parts nest, so clause 1 holds; clause 2 then needs the
             # Y-parts to differ.
             check_circuit_pairs,
+            4,
             ["x1 y1", "x1 x2 y1"],
             "{x1,x2,y1} and {x1,y1} share their Y-part despite strictly nested X-parts",
             id="pairs-nested-x-parts-share-y",
         ),
         pytest.param(
+            # x1 and x2 are loops.
+            check_rank2_circuits,
+            4,
+            ["x1", "x2", "x1 x2 y1"],
+            "3-circuit {x1,x2,y1} does not have rank 2",
+            id="rank2-circuit-rank",
+        ),
+        pytest.param(
+            check_rank2_circuits,
+            4,
+            ["x1 x2 x3"],
+            "rank-2 circuit {x1,x2,x3} does not meet Y in one element",
+            id="rank2-circuit-misses-y",
+        ),
+        pytest.param(
             # Each 3-circuit spans the other's Y element.
             check_rank2_circuits,
+            4,
             ["x1 x2 y1", "x1 x2 y2"],
             "rank-2 circuit {x1,x2,y1} is not a flat",
             id="rank2-circuit-not-a-flat",
         ),
+        pytest.param(
+            # Two flats of rank 2 that share two elements.
+            check_rank2_circuits,
+            5,
+            ["x1 x2 y1", "x1 x3 y1"],
+            "rank-2 circuits {x1,x2,y1}, {x1,x3,y1} meet in {x1,y1}",
+            id="rank2-k5-pair-meet",
+        ),
+        pytest.param(
+            check_rank2_circuits,
+            5,
+            ["x1 x2 y1", "x3 x4 y1"],
+            "union of {x1,x2,y1}, {x3,x4,y1} does not meet Y in two elements",
+            id="rank2-k5-pair-union",
+        ),
+        pytest.param(
+            check_rank2_circuits,
+            5,
+            ["x1 x2 y1", "x2 x3 y2"],
+            "symmetric difference {x1,x3,y1,y2} of {x1,x2,y1}, {x2,x3,y2} is not a 4-circuit",
+            id="rank2-k5-symmetric-difference",
+        ),
     ],
 )
-def test_suites_fail_on_a_family_that_breaks_one_law(suite, circuits, message):
-    report = suite(broken_minor(4, circuits))
-    assert (report.status, report.failure) == ("fail", message)
+def test_suites_fail_on_a_family_that_breaks_one_law(suite, k, circuits, message):
+    with pytest.raises(mc.TheoremViolation) as err:
+        suite(broken_minor(k, circuits))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +703,7 @@ def test_verify_fano():
     report = verify_conjecture(mc.named("fano"))
     assert report.achieved == (2, 4)
     assert [(c.k, c.final.size) for c in report.entries] == [(4, 2)]
-    assert all(s.status == "pass" for s in report.suites.values())
+    assert report.suites["rank2_circuits"]["rank2_circuits"] == 4
     assert not report.vacuous
 
 
@@ -644,7 +723,7 @@ def test_verify_triangle_is_vacuous():
     report = verify_conjecture(mc.uniform(3, 2))
     assert report.entries == ()
     assert report.vacuous
-    assert all(s.status == "vacuous" for s in report.suites.values())
+    assert report.suites == {"ce_families": {}, "circuit_pairs": {}, "rank2_circuits": {}}
 
 
 def test_verify_is_deterministic():
@@ -698,8 +777,9 @@ def test_duality_keeps_sizes_chains_and_extracted_minors(
     for m, report in inputs:
         d = mc.dual(m)
         assert achieved_sizes(d) == report.achieved, m.name
+        # A suite law broken on the dual's minors would raise here.
         dual_report = verify_conjecture(d)
-        assert "fail" not in [s.status for s in dual_report.suites.values()], m.name
+        assert [c.k for c in dual_report.entries] == [c.k for c in report.entries], m.name
         for chain in report.entries:
             ox = chain.minor
             swapped = MinorSpec(ox.spec.contracted, ox.spec.deleted)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
-from matroidcc import cli, construct
+from matroidcc import analyze, cli, construct
 
 
 def write(tmp_path, name: str, doc: dict) -> str:
@@ -194,6 +194,21 @@ def test_verify_bad_axioms_exits_two(tmp_path, capsys):
     rc = cli.main(["verify", write(tmp_path, "bad.json", doc)])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_verify_exits_one_on_a_broken_suite_law(catalog_dir, capsys, monkeypatch):
+    # Each C_e family of fano's minor loses a member, which breaks the law
+    # that every family has at least two.
+    members = analyze._ce_members
+    monkeypatch.setattr(analyze, "_ce_members", lambda ox, ebit: members(ox, ebit)[:-1])
+    path = catalog_dir / "fano.json"
+    assert cli.main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"{path}: TheoremViolation: only 1 circuit(s) leave X exactly at '5'; "
+        "at least two are guaranteed"
+    ]
+    assert "all checks passed" not in out
 
 
 def test_verify_cap_exits_three(tmp_path, capsys):
