@@ -331,7 +331,7 @@ def test_ce_families_suite_passes(source):
         ox = extract(mc.uniform(n, k), k + 1)
     else:
         ox = extract(mc.named(source), 4)
-    # A broken law raises; every law held, once per Y element's family.
+    # A broken law raises; C_e was checked once per Y element.
     assert check_ce_families(ox)["families"] == len(ox.y)
 
 
