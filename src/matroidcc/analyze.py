@@ -52,11 +52,6 @@ class CCIntersection(Record):
         return (self.circuit.mask & self.cocircuit.mask).bit_count()
 
 
-# Bit v of _VALUE_BIT[d] is set iff bit d of v is, for every count 0..31
-# that five counter planes hold.
-_VALUE_BIT = tuple(sum(1 << v for v in range(32) if v >> d & 1) for d in range(5))
-
-
 def _count_planes(columns: list[int], cm: int) -> tuple[int, int, int, int, int]:
     """Bit planes of the counts |cm & D_j|, where bit j of ``columns[e]`` is
     set iff e is in D_j: bit j of the d-th plane is bit d of the j-th count.
@@ -93,11 +88,12 @@ def _first_pairs(m: Matroid, cap: int) -> dict[int, tuple[int, int]]:
 
     One bit-sliced pass: with bit j of ``columns[e]`` set iff e is in the
     j-th cocircuit, ``_count_planes`` counts a circuit's intersections with
-    every cocircuit at once.  Count 1 is tested on every circuit; the
-    sizes not seen yet are found together by one descent over the planes,
-    which follows a branch only while it holds both cocircuits and wanted
-    sizes.  A pair is the first of its size in (circuit, cocircuit) index
-    order.  More than ``cap`` circuit-cocircuit pairs raise ``CapExceeded``.
+    every cocircuit at once.  Count 1 is tested on every circuit, and
+    each size not seen yet is read off the planes: the cocircuits with
+    that count are the AND, over the planes, of each plane or its
+    complement as the size's bit is set or not.  A pair is the first of
+    its size in (circuit, cocircuit) index order.  More than ``cap``
+    circuit-cocircuit pairs raise ``CapExceeded``.
     """
     co = cocircuits(m)
     total = len(m.circuits) * len(co)
@@ -125,27 +121,15 @@ def _first_pairs(m: Matroid, cap: int) -> dict[int, tuple[int, int]]:
             )
         size = cm.bit_count()
         want = ((2 << size) - 4) & ~seen  # sizes 2..|C| not seen yet
-        if not want:
-            continue
-        # From plane 0 up, split the cocircuits by that bit of their count
-        # and the wanted sizes by the same bit; a branch is kept only while
-        # it holds both.  After the last plane, ``want`` is the one count of
-        # every cocircuit left in ``mask``, and the lowest of them is first.
+        # No count exceeds |C|, so the planes above its bit length are empty.
         depth = size.bit_length()
-        branches = [(everyone, 0, want)]
-        while branches:
-            mask, d, want = branches.pop()
-            if d == depth:
-                seen |= want
-                first[want.bit_length() - 1] = (cm, dmasks[(mask & -mask).bit_length() - 1])
-                continue
-            plane = planes[d]
-            ones = want & _VALUE_BIT[d]
-            if ones and mask & plane:
-                branches.append((mask & plane, d + 1, ones))
-            zeros = want ^ ones
-            if zeros and mask & ~plane:
-                branches.append((mask & ~plane, d + 1, zeros))
+        for v in bit_indices(want):
+            mask = everyone
+            for d in range(depth):
+                mask &= planes[d] if v >> d & 1 else ~planes[d]
+            if mask:  # the lowest cocircuit with count v is the first
+                seen |= 1 << v
+                first[v] = (cm, dmasks[(mask & -mask).bit_length() - 1])
     return first
 
 
@@ -207,11 +191,14 @@ class OxleyMinor(Record):
             bad.append("X is a cocircuit of N")
         if not n.is_simple():
             bad.append("N is simple")
-        if not n.restrict(self.x).is_uniform(k, k - 1):
+        # N|X is U_{k-1,k} iff the only circuit inside X is X, and N|Y is
+        # free iff no circuit lies inside Y.
+        x, y = self.x.mask, self.y.mask
+        if len(self.x) != k or [c for c in n.circuits.masks if c & ~x == 0] != [x]:
             bad.append("N|X is the rank-(k-1) uniform matroid on k elements")
-        if not n.restrict(self.y).is_uniform(k - 2, k - 2):
+        if len(self.y) != k - 2 or n._dependent_mask(y):
             bad.append("N|Y is free on k - 2 elements")
-        if n.closure(self.y) != self.y:
+        if n._closure_mask(y) != y:
             bad.append("Y is a flat of N")
         return tuple(bad)
 
@@ -591,6 +578,11 @@ def witness_k4(ox: OxleyMinor) -> CCIntersection:
     base = ox.y | n.ground.singleton(x1)
     if not n.is_independent(base):
         raise TheoremViolation(f"Y + {{{x1}}} is dependent in the extracted minor")
+    both = base | n.ground.singleton(x2)
+    if n.is_independent(both):
+        raise TheoremViolation(
+            f"Y + {{{x1},{x2}}} = {both!r} is independent in the extracted minor"
+        )
     circ = n.fundamental_circuit(base, x2)
     if x1 not in circ:
         raise TheoremViolation(

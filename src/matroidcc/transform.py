@@ -3,10 +3,10 @@
 Each result closes one dependency table, and a table handed over gives
 the circuits as its minimal sets: the dual's holds the sets whose
 complement does not span (``core.dual_table`` of the parent's), and a
-contraction's the closure of the contracted circuits.  Basis
-complementation and the closure scan over (r-1)-sets are kept out of the
-package on purpose: the test suite uses them as independent oracles
-against this construction.
+minor's the closure of the parent's circuits that miss the deleted set,
+less the contracted set.  Basis complementation and the closure scan over
+(r-1)-sets are kept out of the package on purpose: the test suite uses
+them as independent oracles against this construction.
 """
 
 from __future__ import annotations
@@ -83,30 +83,30 @@ def delete(m: Matroid, removed: ElemSet) -> Matroid:
     return m._restricted(m.ground.full_mask & ~removed.mask)
 
 
-def contract(m: Matroid, removed: ElemSet | int) -> Matroid:
-    """Contraction: circuits are the minimal nonempty sets C - T.  The
-    removed set T is an ``ElemSet`` over m's ground set or its mask."""
-    mask = removed.mask if isinstance(removed, ElemSet) else removed
-    if mask >> m.size or isinstance(removed, ElemSet) and removed.ground != m.ground:
+def contract(m: Matroid, removed: ElemSet) -> Matroid:
+    """Contraction: the minor that deletes nothing and contracts the
+    removed set T, an ``ElemSet`` over m's ground set."""
+    if removed.ground != m.ground:
         raise InvalidParameter("removed set over a different ground set")
-    if not mask:
-        return m
-    kept = m.ground.full_mask & ~mask
-    reduced = {c & kept for c in m.circuits.masks if c & kept}
-    table = dependency_table(kept.bit_count(), compress_masks(reduced, kept))
-    return Matroid(GroundSet(m.ground.labels_of(kept)), (), validate=False, table=table)
+    return minor(m, MinorSpec(m.ground.empty(), removed))
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:
-    """Apply a minor spec: delete, then contract.
+    """Apply a minor spec: M \\ D / C in one closure.
 
-    The order does not matter; the tests check that both orders agree.
+    The circuits of M \\ D / C are the minimal nonempty sets C' - C over
+    the circuits C' of M that miss D (Oxley, Matroid Theory, §3.1),
+    so those sets, moved onto the survivors and closed upwards, are the
+    minor's dependency table.  The order of deletion and contraction does
+    not matter; the tests check both orders against this.
     """
     if spec.deleted.ground != m.ground:
         raise InvalidParameter("minor spec over a different ground set")
     if spec.is_empty():
         return m
-    deleted = delete(m, spec.deleted)
-    kept = m.ground.full_mask & ~spec.deleted.mask
-    return contract(deleted, compress_masks((spec.contracted.mask,), kept)[0])
-
+    deleted, contracted = spec.deleted.mask, spec.contracted.mask
+    kept = m.ground.full_mask & ~(deleted | contracted)
+    reduced = {c & ~contracted for c in m.circuits.masks if not c & deleted}
+    reduced.discard(0)  # a circuit inside C leaves nothing
+    table = dependency_table(kept.bit_count(), compress_masks(reduced, kept))
+    return Matroid(GroundSet(m.ground.labels_of(kept)), (), validate=False, table=table)

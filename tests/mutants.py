@@ -52,6 +52,8 @@ CIRCUIT_PAIRS = (
 )
 LIFT = ("tests/test_analyze.py", "-k", "lift")
 SUITE_LAWS = ("tests/test_analyze.py", "-k", "one_law")
+INVARIANTS = ("tests/test_analyze.py", "-k", "invariant_failures")
+MINOR = ("tests/test_transform.py", "-k", "minor or contract_circuits")
 EXPORTS = ("tests/test_package.py",)
 
 
@@ -100,6 +102,21 @@ MUTANTS = (
         "one = members & ~e_lack",
         "one = members & e_lack",
         VALIDATION,
+    ),
+    Mutant(
+        "minor-keeps-circuits-through-the-deleted-set",
+        TRANSFORM,
+        "reduced = {c & ~contracted for c in m.circuits.masks if not c & deleted}",
+        "reduced = {c & ~contracted for c in m.circuits.masks}",
+        MINOR,
+    ),
+    Mutant(
+        # A circuit inside C then leaves the empty set, not nothing.
+        "minor-keeps-the-contracted-bits",
+        TRANSFORM,
+        "reduced = {c & ~contracted for c in m.circuits.masks if not c & deleted}",
+        "reduced = {c for c in m.circuits.masks if not c & deleted}",
+        MINOR,
     ),
     Mutant(
         "dual-handed-the-parents-own-table",
@@ -188,8 +205,8 @@ MUTANTS = (
     Mutant(
         "zeros-branch-reads-the-plane-uncomplemented",
         ANALYZE,
-        "branches.append((mask & ~plane, d + 1, zeros))",
-        "branches.append((mask & plane, d + 1, zeros))",
+        "mask &= planes[d] if v >> d & 1 else ~planes[d]",
+        "mask &= planes[d] if v >> d & 1 else planes[d]",
         PAIR_SCAN,
     ),
     Mutant(
@@ -357,6 +374,34 @@ MUTANTS = (
         "if sym.bit_count() != 4 or sym not in n.circuits:",
         "if False:",
         SUITE_LAWS,
+    ),
+    Mutant(
+        "invariants-skip-the-simplicity-check",
+        ANALYZE,
+        "if not n.is_simple():",
+        "if False:",
+        INVARIANTS,
+    ),
+    Mutant(
+        "invariants-skip-the-x-uniform-check",
+        ANALYZE,
+        "if len(self.x) != k or [c for c in n.circuits.masks if c & ~x == 0] != [x]:",
+        "if False:",
+        INVARIANTS,
+    ),
+    Mutant(
+        "invariants-skip-the-y-free-check",
+        ANALYZE,
+        "if len(self.y) != k - 2 or n._dependent_mask(y):",
+        "if False:",
+        INVARIANTS,
+    ),
+    Mutant(
+        "invariants-skip-the-y-flat-check",
+        ANALYZE,
+        "if n._closure_mask(y) != y:",
+        "if False:",
+        INVARIANTS,
     ),
     Mutant(
         "lift-cocircuit-matched-whole",

@@ -192,6 +192,24 @@ def test_extraction_fano():
     assert ox.x in cocircuits(ox.minor)
 
 
+def test_extraction_builds_one_minor_and_its_dual_per_candidate(monkeypatch):
+    # Fano's first size-4 pair is verified on its first complete state, so
+    # the search builds N and N*; N|X and N|Y are read off N's masks.
+    f7 = mc.named("fano")
+    cc = first_pair(f7, 4)
+    mc.dual(f7)
+    built = []
+    init = mc.Matroid.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(mc.Matroid, "__init__", recording)
+    ox = oxley_minor(f7, cc.circuit, cc.cocircuit)
+    assert built == [ox.minor, mc.dual(ox.minor)]
+
+
 @pytest.mark.parametrize(
     "name,k",
     [("k4", 4), ("k5", 4), ("vamos", 4), ("vamos", 5), ("nonfano", 4)],
@@ -517,6 +535,64 @@ def test_suites_fail_on_a_family_that_breaks_one_law(suite, k, circuits, message
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "circuits,message",
+    [
+        # y1 and y2 are loops beside the circuit X.
+        pytest.param(["y1", "y2", "x1 x2 x3 x4"], "N is simple", id="simple"),
+        # {x1,x2,x3} is a circuit strictly inside X.
+        pytest.param(
+            ["x1 x2 x3"],
+            "N|X is the rank-(k-1) uniform matroid on k elements",
+            id="x-uniform",
+        ),
+        # y1 and y2 are parallel.
+        pytest.param(["y1 y2", "x1 x2 x3 x4"], "N|Y is free on k - 2 elements", id="y-free"),
+        # x1 lies in the closure of Y.
+        pytest.param(["x1 y1 y2"], "Y is a flat of N", id="y-flat"),
+    ],
+)
+def test_invariant_failures_names_the_check_a_matroid_breaks(circuits, message):
+    # Each family is a matroid, so N's dual is built and the whole list is
+    # read; on an extracted minor these checks follow from the others.
+    ox = broken_minor(4, circuits)
+    assert mc.validate_circuit_axioms(ox.minor.circuits).ok
+    assert message in ox.invariant_failures()
+
+
+RESTRICTION_CHECKS = (
+    "N|X is the rank-(k-1) uniform matroid on k elements",
+    "N|Y is free on k - 2 elements",
+    "Y is a flat of N",
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 5),
+    n=st.integers(1, 8),
+    k=st.integers(2, 6),
+)
+def test_invariant_failures_read_the_restrictions_off_the_masks(data, p, rows, n, k):
+    # The checks on N|X, N|Y and Y's closure agree with building N|X and
+    # N|Y and taking the closure, for any X and Y.
+    columns = data.draw(columns_with_loops_and_parallels(p, rows, n))
+    m = mc.from_matrix(mc.MatrixOverGF(p, rows, tuple(columns)))
+    g = m.ground
+    x = g.from_mask(data.draw(st.integers(0, g.full_mask)))
+    y = g.from_mask(data.draw(st.integers(0, g.full_mask)))
+    ox = mc.OxleyMinor(MinorSpec.empty(g), m, x, y, k)
+    want = [
+        not m.restrict(x).is_uniform(k, k - 1),
+        not m.restrict(y).is_uniform(k - 2, k - 2),
+        m.closure(y) != y,
+    ]
+    got = ox.invariant_failures()
+    assert [message in got for message in RESTRICTION_CHECKS] == want
+
+
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
@@ -548,6 +624,15 @@ def test_witness_k4_requires_k4():
     ox = extract(mc.uniform(8, 4), 5)
     with pytest.raises(mc.PreconditionViolated):
         witness_k4(ox)
+
+
+def test_witness_k4_reports_an_independent_y_plus_two_as_a_theory_failure():
+    # X is the only circuit, so Y + {x1, x2} has no circuit through x2.
+    with pytest.raises(mc.TheoremViolation) as err:
+        witness_k4(broken_minor(4, ["x1 x2 x3 x4"]))
+    assert str(err.value) == (
+        "Y + {x1,x2} = {x1,x2,y1,y2} is independent in the extracted minor"
+    )
 
 
 def test_witness_k5_uniform_takes_the_general_branch():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -118,16 +119,6 @@ def test_contract_fano_point_gives_three_parallel_pairs():
     assert len(pairs) == 3  # the three lines through the point collapse
 
 
-def test_contract_takes_the_removed_set_as_a_mask_too():
-    f7 = mc.named("fano")
-    t = f7.ground.subset(["1", "4"])
-    assert contract(f7, t.mask) == contract(f7, t)
-    assert contract(f7, 0) is f7
-    for outside in (1 << 7, -1):
-        with pytest.raises(mc.InvalidParameter):
-            contract(f7, outside)
-
-
 @pytest.mark.parametrize("name", SAMPLE)
 def test_contract_circuits_match_rank_oracle_for_every_removed_set(name):
     m = build(name)
@@ -174,6 +165,12 @@ def test_minor_uniform_arithmetic():
     assert minor(u63, spec).is_uniform(4, 2)
 
 
+def delete_then_contract(m: mc.Matroid, spec: MinorSpec) -> mc.Matroid:
+    """M \\ D / C as two steps: a restriction, then a contraction."""
+    deleted = delete(m, spec.deleted)
+    return contract(deleted, spec.contracted.to_ground(deleted.ground))
+
+
 @pytest.mark.parametrize("name", ["fano", "k4", "u6_3", "vamos"])
 def test_minor_orders_commute_on_random_specs(name):
     m = build(name)
@@ -188,16 +185,25 @@ def test_minor_orders_commute_on_random_specs(name):
             elif roll < 0.4:
                 cons.append(lab)
         spec = MinorSpec(g.subset(dels), g.subset(cons))
-        d_first = contract(
-            delete(m, spec.deleted),
-            spec.contracted.to_ground(delete(m, spec.deleted).ground),
-        )
+        d_first = delete_then_contract(m, spec)
         c_first = delete(
             contract(m, spec.contracted),
             spec.deleted.to_ground(contract(m, spec.contracted).ground),
         )
         assert d_first == c_first
         assert minor(m, spec) == d_first
+
+
+@pytest.mark.parametrize("name", ["fano", "nonfano", "k4", "wheel3", "vamos", "u6_3"])
+def test_minor_equals_delete_then_contract_on_every_split(name):
+    m = build(name)
+    g = m.ground
+    # Each element is kept, deleted or contracted: all 3^|E| splits.
+    for roles in itertools.product(range(3), repeat=m.size):
+        dels = sum(1 << i for i, role in enumerate(roles) if role == 1)
+        cons = sum(1 << i for i, role in enumerate(roles) if role == 2)
+        spec = MinorSpec(g.from_mask(dels), g.from_mask(cons))
+        assert minor(m, spec) == delete_then_contract(m, spec), spec
 
 
 @pytest.mark.parametrize("name", ["fano", "k4", "u5_2", "vamos"])
