@@ -21,7 +21,6 @@ _EXPORTS = {
     "OxleyMinor": "analyze",
     "WitnessChain": "analyze",
     "achieved_sizes": "analyze",
-    "ce_family": "analyze",
     "check_ce_families": "analyze",
     "check_circuit_pairs": "analyze",
     "check_rank2_circuits": "analyze",

@@ -341,8 +341,6 @@ def oxley_minor(m: Matroid, circuit: ElemSet, cocircuit: ElemSet) -> OxleyMinor:
                 return found
         return None
 
-    if len(order) < removals:
-        raise TheoremViolation("more removals required than elements available")
     result = dfs(0, 0, 0)
     if result is None:
         raise ExtractionFailed(
@@ -368,6 +366,8 @@ def _ce_members(ox: OxleyMinor, ebit: int) -> tuple[int, ...]:
 
 
 def _ce_family(ox: OxleyMinor, element: str) -> tuple[int, ...]:
+    """The family C_element: masks of the circuits C of the minor with
+    C - X = {element}, in canonical order; at least two."""
     if element not in ox.y:
         raise PreconditionViolated(f"element {element!r} is not in Y")
     members = _ce_members(ox, 1 << ox.minor.ground.index(element))
@@ -377,12 +377,6 @@ def _ce_family(ox: OxleyMinor, element: str) -> tuple[int, ...]:
             "at least two are guaranteed"
         )
     return members
-
-
-def ce_family(ox: OxleyMinor, element: str) -> tuple[ElemSet, ...]:
-    """All circuits C of the minor with C - X = {element}, in canonical
-    order; at least two."""
-    return tuple(map(ox.minor.ground.from_mask, _ce_family(ox, element)))
 
 
 def check_ce_families(ox: OxleyMinor) -> dict[str, int]:

@@ -12,6 +12,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring
@@ -235,10 +236,6 @@ def _dump(doc: dict) -> str:
     return _indented(doc, "\n") + "\n"
 
 
-def write_matroid(m: Matroid, path: str | Path) -> None:
-    Path(path).write_text(_dump(matroid_doc(m)), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
@@ -404,6 +401,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         open(args.json, "a", encoding="utf-8").close()
     entries = []
     first_error: tuple[str, MatroidError] | None = None
+    # The first failed write to stdout, say a closed pipe, ends the text
+    # report; with --json every file is still verified and reported.
+    text_error: OSError | None = None
     for path in sorted(str(p) for p in args.paths):
         start = time.perf_counter()
         try:
@@ -414,16 +414,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 first_error = (path, err)
             continue
         ms = (time.perf_counter() - start) * 1000.0
-        print(report_text(report, ms))
+        try:
+            print(report_text(report, ms))
+        except OSError as err:
+            text_error = text_error or err
+            if not args.json:
+                break
         entries.append(report_entry_dict(report, ms if args.timings else None))
     if args.json:
         doc = {"report_version": REPORT_VERSION, "entries": entries}
         Path(args.json).write_text(_dump(doc), encoding="utf-8")
+    try:
+        if first_error is None and text_error is None:
+            print(f"verified {len(entries)} matroid(s); all checks passed")
+        sys.stdout.flush()
+    except OSError as err:
+        text_error = text_error or err
+    if text_error is not None:
+        # As the Python docs advise for a closed pipe: the interpreter
+        # flushes stdout at exit, where the buffered text would fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if first_error is not None:
         path, err = first_error
         print(_printable(f"{path}: {type(err).__name__}: {err}"), file=sys.stderr)
         return _exit_code_for(err)
-    print(f"verified {len(entries)} matroid(s); all checks passed")
+    if text_error is not None:
+        print(f"stdout: {type(text_error).__name__}: {text_error}", file=sys.stderr)
+        return 2
     return 0
 
 

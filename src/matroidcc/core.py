@@ -19,7 +19,6 @@ construction (caches fill idempotently).
 from __future__ import annotations
 
 import re
-from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -679,23 +678,6 @@ class Matroid:
     def is_simple(self) -> bool:
         """True iff there is no loop (1-circuit) and no parallel pair (2-circuit)."""
         return not (self.circuits.sizes and self.circuits.sizes[0] <= 2)
-
-    def restrict(self, subset: ElemSet) -> "Matroid":
-        """Matroid on the subset whose circuits are those contained in it."""
-        self._own(subset)
-        return self._restricted(subset.mask)
-
-    def _restricted(self, kept: int) -> "Matroid":
-        masks = compress_masks((m for m in self.circuits.masks if m & ~kept == 0), kept)
-        return Matroid(GroundSet(self.ground.labels_of(kept)), masks, validate=False)
-
-    def is_uniform(self, n: int, k: int) -> bool:
-        """True iff the circuit family is exactly that of the rank-k uniform
-        matroid on n elements (all (k+1)-subsets; empty when k = n)."""
-        if self.size != n or k < 0 or k > n:
-            return False
-        want = comb(n, k + 1)
-        return len(self.circuits) == want and all(s == k + 1 for s in self.circuits.sizes)
 
     # -- plumbing ------------------------------------------------------------
 

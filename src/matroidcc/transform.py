@@ -80,7 +80,9 @@ def delete(m: Matroid, removed: ElemSet) -> Matroid:
         raise InvalidParameter("removed set over a different ground set")
     if not removed:
         return m
-    return m._restricted(m.ground.full_mask & ~removed.mask)
+    kept = m.ground.full_mask & ~removed.mask
+    masks = compress_masks((c for c in m.circuits.masks if c & ~kept == 0), kept)
+    return Matroid(GroundSet(m.ground.labels_of(kept)), masks, validate=False)
 
 
 def contract(m: Matroid, removed: ElemSet) -> Matroid:

@@ -54,6 +54,8 @@ LIFT = ("tests/test_analyze.py", "-k", "lift")
 SUITE_LAWS = ("tests/test_analyze.py", "-k", "one_law")
 INVARIANTS = ("tests/test_analyze.py", "-k", "invariant_failures")
 MINOR = ("tests/test_transform.py", "-k", "minor or contract_circuits")
+THEOREM_CHECKS = ("tests/test_analyze.py", "-k", "theorem_checks")
+CLOSED_STDOUT = ("tests/test_cli.py", "-k", "closed")
 EXPORTS = ("tests/test_package.py",)
 
 
@@ -404,6 +406,174 @@ MUTANTS = (
         INVARIANTS,
     ),
     Mutant(
+        "pair-of-disjoint-sets-accepted",
+        ANALYZE,
+        "if self.size == 0:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "pair-meeting-in-one-accepted",
+        ANALYZE,
+        "if self.size == 1:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "lift-of-disjoint-inputs-accepted",
+        ANALYZE,
+        "if not circuit_n.mask & cocircuit_n.mask:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "lift-without-a-parent-circuit-unchecked",
+        ANALYZE,
+        "if lifted_c is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "lift-without-a-parent-cocircuit-unchecked",
+        ANALYZE,
+        "if lifted_d is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "lift-keeps-a-changed-intersection",
+        ANALYZE,
+        "if lifted_c & lifted_d != cn & dn:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "extraction-takes-a-non-cocircuit",
+        ANALYZE,
+        "if cocircuit not in cocircuits(m):",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "extraction-on-a-too-small-ground",
+        ANALYZE,
+        "if removals < 0:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "exhausted-extraction-returns-none",
+        ANALYZE,
+        "if result is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "verify-skips-the-k-minus-2-oracle",
+        ANALYZE,
+        "if (k - 2) not in first:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "verify-skips-the-final-size",
+        ANALYZE,
+        "if final.size != k - 2:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k4-skips-the-y-plus-x1-test",
+        ANALYZE,
+        "if not n.is_independent(base):",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k4-skips-the-x1-test",
+        ANALYZE,
+        "if x1 not in circ:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k4-skips-the-meet-test",
+        ANALYZE,
+        "if meet.labels() != (x1, x2):",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-runs-at-any-k",
+        ANALYZE,
+        "if ox.k != 5:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-skips-the-size-4-circuit-meet",
+        ANALYZE,
+        'if found.size != 3:\n                raise TheoremViolation("size-4 circuit',
+        'if False:\n                raise TheoremViolation("size-4 circuit',
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-skips-the-size-4-cocircuit-meet",
+        ANALYZE,
+        'if found.size != 3:\n                raise TheoremViolation("size-4 cocircuit',
+        'if False:\n                raise TheoremViolation("size-4 cocircuit',
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-without-a-size-5-cocircuit",
+        ANALYZE,
+        "if c0 is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-skips-the-one-missing-x-test",
+        ANALYZE,
+        "if missing.bit_count() != 1:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-without-a-member-through-x1",
+        ANALYZE,
+        "if not through:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-skips-the-first-member-size",
+        ANALYZE,
+        "if through[0].bit_count() not in (3, 5):",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-without-a-size-5-member",
+        ANALYZE,
+        "if chosen is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k5-skips-the-final-meet",
+        ANALYZE,
+        'if found.size != 3:\n        raise TheoremViolation(\n            f"witness pair meets',
+        'if False:\n        raise TheoremViolation(\n            f"witness pair meets',
+        THEOREM_CHECKS,
+    ),
+    Mutant(
+        "witness-k6-returns-none",
+        ANALYZE,
+        "if inner is None:",
+        "if False:",
+        THEOREM_CHECKS,
+    ),
+    Mutant(
         "lift-cocircuit-matched-whole",
         ANALYZE,
         "if d & ~del_mask == dn)",
@@ -454,6 +624,21 @@ MUTANTS = (
         "name = path.stem\n        if not _is_text(name):",
         "name = path.stem\n        if False:",
         INGEST,
+    ),
+    Mutant(
+        # A closed stdout then also ends the JSON report.
+        "closed-stdout-drops-the-json-report",
+        CLI,
+        "if not args.json:\n                break",
+        "break",
+        CLOSED_STDOUT,
+    ),
+    Mutant(
+        "closed-stdout-left-pointing-at-the-pipe",
+        CLI,
+        "os.dup2(devnull, sys.stdout.fileno())",
+        "pass",
+        CLOSED_STDOUT,
     ),
     Mutant(
         "k6-chain-labelled-witness",

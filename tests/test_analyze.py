@@ -13,7 +13,6 @@ from matroidcc import analyze, cli
 from matroidcc import (
     MinorSpec,
     achieved_sizes,
-    ce_family,
     check_ce_families,
     check_circuit_pairs,
     check_rank2_circuits,
@@ -321,25 +320,25 @@ def test_extraction_preconditions():
 def test_ce_family_uniform_members():
     ox = extract(mc.uniform(6, 3), 4)
     e = ox.y.labels()[0]
-    fam = ce_family(ox, e)
+    fam = analyze._ce_family(ox, e)
     # Circuits are 4-subsets, so members are e plus any 3 of the 4 X elements.
     assert len(fam) == 4
     for c in fam:
-        assert (c & ox.y).labels() == (e,)
-        assert len(c) == 4
+        assert ox.minor.ground.labels_of(c & ox.y.mask) == (e,)
+        assert c.bit_count() == 4
 
 
 def test_ce_family_u84():
     ox = extract(mc.uniform(8, 4), 5)
-    fam = ce_family(ox, ox.y.labels()[0])
+    fam = analyze._ce_family(ox, ox.y.labels()[0])
     assert len(fam) == 5
-    assert all(len(c) == 5 for c in fam)
+    assert all(c.bit_count() == 5 for c in fam)
 
 
 def test_ce_family_requires_y_element():
     ox = extract(mc.uniform(6, 3), 4)
     with pytest.raises(mc.PreconditionViolated):
-        ce_family(ox, ox.x.labels()[0])
+        analyze._ce_family(ox, ox.x.labels()[0])
 
 
 @pytest.mark.parametrize("source", ["u6_3", "u8_4", "fano"])
@@ -392,15 +391,21 @@ def test_rank2_suite_intersecting_pairs_at_k5():
     assert check_rank2_circuits(ox)["intersecting_pairs"] >= 1
 
 
-def broken_minor(k: int, circuits: list[str]) -> mc.OxleyMinor:
+def broken_minor(
+    k: int, circuits: list[str], *, extra: str = "", y: str = "", dual: bool = False
+) -> mc.OxleyMinor:
     """An OxleyMinor over X = x1..xk and Y = y1..y(k-2) whose circuits are
     ``circuits`` (labels split on spaces), built without axiom checks, so
-    that a family can break one suite law and keep the others."""
+    that a family can break one suite law and keep the others.  The
+    elements ``extra`` join the ground set outside X and Y, ``y`` names
+    another Y, and with ``dual`` the family gives the cocircuits instead."""
     xs = [f"x{i}" for i in range(1, k + 1)]
-    g = mc.GroundSet(xs + [f"y{i}" for i in range(1, k - 1)])
+    ys = [f"y{i}" for i in range(1, k - 1)]
+    g = mc.GroundSet(xs + ys + extra.split())
     m = mc.Matroid(g, [g.subset(c.split()) for c in circuits], name="broken", validate=False)
-    x = g.subset(xs)
-    return mc.OxleyMinor(MinorSpec.empty(g), m, x, x.complement(), k)
+    if dual:
+        m = mc.dual(m)
+    return mc.OxleyMinor(MinorSpec.empty(g), m, g.subset(xs), g.subset(y.split() or ys), k)
 
 
 @pytest.mark.parametrize(
@@ -584,9 +589,10 @@ def test_invariant_failures_read_the_restrictions_off_the_masks(data, p, rows, n
     x = g.from_mask(data.draw(st.integers(0, g.full_mask)))
     y = g.from_mask(data.draw(st.integers(0, g.full_mask)))
     ox = mc.OxleyMinor(MinorSpec.empty(g), m, x, y, k)
+    on_x, on_y = mc.delete(m, x.complement()), mc.delete(m, y.complement())
     want = [
-        not m.restrict(x).is_uniform(k, k - 1),
-        not m.restrict(y).is_uniform(k - 2, k - 2),
+        (on_x.size, on_x.circuits.masks) != (k, mc.uniform(k, k - 1).circuits.masks),
+        (on_y.size, on_y.circuits.masks) != (k - 2, ()),  # free: no circuit
         m.closure(y) != y,
     ]
     got = ox.invariant_failures()
@@ -875,3 +881,219 @@ def test_duality_keeps_sizes_chains_and_extracted_minors(
             assert dual_ox.invariant_failures() == (), (m.name, chain.k)
             chains += 1
     assert chains == 33 + 8 + 45
+
+
+# ---------------------------------------------------------------------------
+# Theorem-level checks on broken input
+# ---------------------------------------------------------------------------
+
+F7 = mc.named("fano")
+G4 = mc.GroundSet(["1", "2", "3", "4"])
+
+
+def f7(labels: str) -> mc.ElemSet:
+    return F7.ground.subset(labels.split())
+
+
+def lift_with_a_reordered_spec() -> None:
+    # The spec's ground lists the parent's labels in another order, so its
+    # contracted "3" has the bit of the parent's "4".  The minor's circuit
+    # {5,6,7} then lifts to {4,5,6,7}, which is also the lifted cocircuit.
+    g = mc.GroundSet(["1", "2", "4", "3", "5", "6", "7"])
+    sub = mc.from_matrix(
+        mc.MatrixOverGF.from_rows(5, [[1, 1, 0, 1, 1, 1], [0, 0, 1, 1, 2, 3]]),
+        labels=["1", "2", "4", "5", "6", "7"],
+    )
+    spec = MinorSpec(g.empty(), g.subset(["3"]))
+    lift_intersection(
+        F7, spec, sub, sub.ground.subset(["5", "6", "7"]), sub.ground.subset(["4", "5", "6", "7"])
+    )
+
+
+def branch_b_with_members(monkeypatch, members) -> None:
+    """witness_k5 on U(4,8)'s k = 5 minor, which takes branch (b), with the
+    family C_y2 replaced by ``members(x1, c0)``: x1 is the X element that
+    the first one-Y size-5 cocircuit c0 misses, both as masks."""
+    ox = extract(mc.uniform(8, 4), 5)
+    c0 = next(
+        d for d in cocircuits(ox.minor).masks
+        if d.bit_count() == 5 and (d & ox.y.mask).bit_count() == 1
+    )
+    x1 = ox.x.mask & ~c0
+    monkeypatch.setattr(analyze, "_ce_family", lambda ox, element: members(x1, c0))
+    witness_k5(ox)
+
+
+def lowest(mask: int, count: int) -> int:
+    """The ``count`` lowest elements of a mask."""
+    out = 0
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda mp: mc.CCIntersection(f7("1 2 3"), f7("4 5 6 7")),
+            mc.InvalidParameter, "disjoint circuit/cocircuit pair", id="pair-disjoint",
+        ),
+        pytest.param(
+            lambda mp: mc.CCIntersection(f7("1 2 3"), f7("3 4 5 6")),
+            mc.TheoremViolation,
+            "circuit-cocircuit intersection of size 1; "
+            "a circuit and a cocircuit can never meet in a single element",
+            id="pair-meets-in-one",
+        ),
+        pytest.param(
+            lambda mp: lift_intersection(
+                F7, MinorSpec.empty(F7.ground), F7, f7("1 2 3"), f7("4 5 6 7")
+            ),
+            mc.PreconditionViolated, "lift inputs are disjoint", id="lift-disjoint",
+        ),
+        pytest.param(
+            # U(6,7)'s one circuit is the whole ground, which Fano lacks.
+            lambda mp: lift_intersection(
+                F7, MinorSpec.empty(F7.ground), mc.uniform(7, 6), f7("1 2 3 4 5 6 7"), f7("1 2")
+            ),
+            mc.LiftFailed, "no parent circuit lifts {1,2,3,4,5,6,7}", id="lift-circuit",
+        ),
+        pytest.param(
+            # With {1,2,3} its one circuit, {1,2} is a cocircuit; Fano's have four elements.
+            lambda mp: lift_intersection(
+                F7, MinorSpec.empty(F7.ground),
+                mc.from_circuits(F7.ground.labels, [["1", "2", "3"]]), f7("1 2 3"), f7("1 2"),
+            ),
+            mc.LiftFailed, "no parent cocircuit lifts {1,2}", id="lift-cocircuit",
+        ),
+        pytest.param(
+            lambda mp: lift_with_a_reordered_spec(),
+            mc.TheoremViolation, "lifted pair changed the intersection; lifting is buggy",
+            id="lift-changes-the-intersection",
+        ),
+        pytest.param(
+            lambda mp: oxley_minor(F7, f7("4 5 6 7"), f7("1 2 3")),
+            mc.PreconditionViolated, "second argument is not a cocircuit", id="extract-cocircuit",
+        ),
+        pytest.param(
+            # The pairs of 1..4 plus the whole ground, a family that breaks
+            # C2: the whole ground is a member and the one cocircuit, so
+            # |X| = 4 on four elements, fewer than 2k - 2.
+            lambda mp: oxley_minor(
+                mc.Matroid(G4, [0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100, 0b1111],
+                           validate=False),
+                G4.full(),
+                G4.full(),
+            ),
+            mc.TheoremViolation, "ground set smaller than rank + corank bound",
+            id="extract-small-ground",
+        ),
+        pytest.param(
+            # Every candidate "minor" is Fano itself, which fails |E(N)| = 6.
+            lambda mp: (mp.setattr(analyze, "minor", lambda m, spec: m), extract(F7, 4)),
+            mc.ExtractionFailed,
+            "no minor of Matroid('fano' |E|=7 rank=3 circuits=14) realizes X={1,2,4,7} "
+            "as circuit and cocircuit with rank 3 after 3 complete states; "
+            "this contradicts a guaranteed existence and indicates a bug",
+            id="extract-exhausted",
+        ),
+        pytest.param(
+            lambda mp: (
+                mp.setattr(analyze, "_first_pairs", lambda m, cap, first=analyze._first_pairs: {
+                    k: pair for k, pair in first(m, cap).items() if k != 2
+                }),
+                verify_conjecture(F7),
+            ),
+            mc.TheoremViolation,
+            "fano: size 4 achieved but size 2 is not; "
+            "this would disprove the theorem and indicates a bug",
+            id="verify-size-k-without-k-2",
+        ),
+        pytest.param(
+            # The "lifted" pair is Fano's first size-4 pair itself.
+            lambda mp: (
+                mp.setattr(analyze, "lift_intersection", lambda m, spec, sub, c, d: (
+                    first_pair(F7, 4).circuit, first_pair(F7, 4).cocircuit
+                )),
+                verify_conjecture(F7),
+            ),
+            mc.TheoremViolation, "fano: chain for k=4 ended at size 4",
+            id="verify-chain-size",
+        ),
+        pytest.param(
+            lambda mp: witness_k4(broken_minor(4, ["x1 y1 y2"])),
+            mc.TheoremViolation, "Y + {x1} is dependent in the extracted minor",
+            id="k4-y-plus-x1-dependent",
+        ),
+        pytest.param(
+            lambda mp: witness_k4(broken_minor(4, ["x2 y1 y2"])),
+            mc.TheoremViolation, "the circuit in Y + {x1,x2} through x2 avoids x1",
+            id="k4-circuit-avoids-x1",
+        ),
+        pytest.param(
+            # Y = {x3, y1} meets X, so the circuit through x2 may hold x3.
+            lambda mp: witness_k4(broken_minor(4, ["x1 x2 x3"], y="x3 y1")),
+            mc.TheoremViolation, "witness circuit meets X in {x1,x2,x3}, not {x1,x2}",
+            id="k4-meet",
+        ),
+        pytest.param(
+            lambda mp: witness_k5(broken_minor(4, [])),
+            mc.PreconditionViolated, "k = 4; this witness is for k = 5", id="k5-needs-k5",
+        ),
+        pytest.param(
+            # z lies in neither X nor Y.
+            lambda mp: witness_k5(broken_minor(5, ["x1 x2 y1 z"], extra="z")),
+            mc.TheoremViolation, "size-4 circuit does not meet X in 3", id="k5-size-4-circuit",
+        ),
+        pytest.param(
+            lambda mp: witness_k5(broken_minor(5, ["x1 x2 y1 z"], extra="z", dual=True)),
+            mc.TheoremViolation, "size-4 cocircuit does not meet X in 3",
+            id="k5-size-4-cocircuit",
+        ),
+        pytest.param(
+            # A free matroid: every cocircuit is a single element.
+            lambda mp: witness_k5(broken_minor(5, [])),
+            mc.TheoremViolation, "no size-5 cocircuit with a single Y element; one is guaranteed",
+            id="k5-no-size-5-cocircuit",
+        ),
+        pytest.param(
+            lambda mp: witness_k5(broken_minor(5, ["x1 x2 x3 y1 z"], extra="z", dual=True)),
+            mc.TheoremViolation, "cocircuit {x1,x2,x3,y1,z} misses {x4,x5} of X, not one",
+            id="k5-cocircuit-misses-two",
+        ),
+        pytest.param(
+            lambda mp: branch_b_with_members(mp, lambda x1, c0: ()),
+            mc.TheoremViolation, "no circuit leaving X at 7 contains 5; one is guaranteed",
+            id="k5-no-member-through-x1",
+        ),
+        pytest.param(
+            lambda mp: branch_b_with_members(mp, lambda x1, c0: (x1 | c0,)),
+            mc.TheoremViolation, "one-Y circuit {1,2,3,4,5,6} of size 6 after size-4 exclusion",
+            id="k5-first-member-size",
+        ),
+        pytest.param(
+            lambda mp: branch_b_with_members(mp, lambda x1, c0: (x1 | lowest(c0, 2),)),
+            mc.TheoremViolation, "no size-5 circuit through 5 leaving X at 7; one is guaranteed",
+            id="k5-no-size-5-member",
+        ),
+        pytest.param(
+            # The member holds x1 and four of c0's five elements.
+            lambda mp: branch_b_with_members(mp, lambda x1, c0: (x1 | lowest(c0, 4),)),
+            mc.TheoremViolation, "witness pair meets in 4 elements instead of 3",
+            id="k5-pair-meets-in-4",
+        ),
+        pytest.param(
+            # A free matroid has no circuit, so no pair at all.
+            lambda mp: witness_k6(broken_minor(6, [])),
+            mc.TheoremViolation, "no size-4 intersection inside the k=6 minor; one is guaranteed",
+            id="k6-no-size-4-pair",
+        ),
+    ],
+)
+def test_theorem_checks_raise_their_message(monkeypatch, call, error, message):
+    with pytest.raises(error) as exc:
+        call(monkeypatch)
+    assert type(exc.value) is error and str(exc.value) == message

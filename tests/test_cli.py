@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matroidcc as mc
@@ -63,7 +63,7 @@ K4_DOC = {
 
 def test_parse_circuits_file(tmp_path):
     m = cli.parse_matroid(write(tmp_path, "u3_2.json", U32_DOC))
-    assert m.is_uniform(3, 2) and m.name == "u3_2"
+    assert m.circuits.masks == mc.uniform(3, 2).circuits.masks and m.name == "u3_2"
 
 
 def test_parse_matrix_file_builds_fano(tmp_path):
@@ -122,7 +122,7 @@ def test_parse_caps_large_ground(tmp_path):
 def test_round_trip_preserves_canonical_circuits(tmp_path):
     for m in (mc.named("fano"), mc.uniform(5, 2), mc.named("vamos")):
         path = tmp_path / "roundtrip.json"
-        cli.write_matroid(m, path)
+        path.write_text(cli._dump(cli.matroid_doc(m)), encoding="utf-8")
         back = cli.parse_matroid(path)
         assert back == m
 
@@ -137,6 +137,9 @@ json_values = st.recursive(
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(json_values)
+@example("top")
+@example(7)
+@example(True)
 def test_dump_writes_what_the_indented_standard_encoder_writes(value):
     assert cli._indented(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
 
@@ -219,7 +222,7 @@ def test_verify_cap_exits_three(tmp_path, capsys):
     # u10_5 has 210 x 210 = 44,100 pairs.  The cap counts the input's pairs
     # only: at exactly that cap the k = 6 chain runs inside its minor.
     u105 = tmp_path / "u10_5.json"
-    cli.write_matroid(mc.uniform(10, 5), u105)
+    u105.write_text(cli._dump(cli.matroid_doc(mc.uniform(10, 5))), encoding="utf-8")
     assert cli.main(["verify", str(u105), "--cap", "44100"]) == 0
     assert "   k=6: oracle ok; " in capsys.readouterr().out
     assert cli.main(["verify", str(u105), "--cap", "44099"]) == 3
@@ -354,6 +357,48 @@ def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, doc, code, error, message",
+    [
+        (["verify"], [FANO_DOC], 2, "ParseError", "top level must be an object"),
+        (["verify"], {**FANO_DOC, "rows": [row[:6] for row in FANO_DOC["rows"]]}, 2,
+         "ParseError", "each row must list one entry per label"),
+        (["verify"], {**U32_DOC, "circuits": [["a", "b", "z"]]}, 2,
+         "InvalidParameter", "unknown element label 'z'"),
+        (["verify"], {**FANO_DOC, "labels": [f"e{i}" for i in range(21)], "rows": [[1] * 21]},
+         3, "CapExceeded", "circuit enumeration needs at most 20 columns, got 21"),
+        (["inspect", "--minor", "del"], FANO_DOC, 2,
+         "ParseError", "--minor: expected key=labels, got 'del'"),
+        (["inspect", "--minor", "cut=1"], FANO_DOC, 2,
+         "ParseError", "--minor: unknown key 'cut' (expected ('del', 'con'))"),
+        (["inspect", "--oxley", "circuit=1,2,3,4"], FANO_DOC, 2,
+         "ParseError", "--oxley needs circuit=... and cocircuit=..."),
+    ],
+    ids=["top-level-list", "short-row", "unknown-label", "21-columns", "minor-no-equals",
+         "minor-unknown-key", "oxley-one-key"],
+)
+def test_input_checks_exit_with_their_code_and_one_line(
+    tmp_path, capsys, command, doc, code, error, message
+):
+    path = write(tmp_path, "in.json", doc)
+    rc = cli.main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    assert rc == code and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f"{error}: " in line and line.endswith(message)
+
+
+def test_a_cap_that_is_not_an_int_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "fano.json", FANO_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", path, "--cap", "ten"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["matroidcc verify: error: argument --cap: invalid int value: 'ten'"]
+
+
 LONE = "\ud800"
 
 
@@ -402,6 +447,89 @@ def test_unwritable_output_paths_exit_two_with_one_line(tmp_path, capsys, comman
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+class ClosedAfterOneLine:
+    """A stdout whose reader went away after the first line: every later
+    write or flush raises ``BrokenPipeError``, as a closed pipe does.  Its
+    file descriptor is the write end of a pipe whose read end is closed."""
+
+    def __init__(self, fd: int) -> None:
+        self.text = ""
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, text: str) -> int:
+        self.flush()
+        self.text += text
+        return len(text)
+
+    def flush(self) -> None:
+        if "\n" in self.text:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("json_report", [True, False], ids=["json", "text-only"])
+def test_a_closed_stdout_ends_only_the_text_report(
+    catalog_dir, tmp_path, capsys, monkeypatch, json_report
+):
+    paths = [str(p) for p in sorted(catalog_dir.glob("*.json"))]
+    normal = verify_json(paths, tmp_path / "normal.json")
+    capsys.readouterr()
+    verified = []
+    verify = analyze.verify_conjecture
+    monkeypatch.setattr(
+        analyze, "verify_conjecture", lambda m, cap: verified.append(m) or verify(m, cap=cap)
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    monkeypatch.setattr(sys, "stdout", ClosedAfterOneLine(write_end))
+    report = tmp_path / "closed.json"
+    try:
+        rc = cli.main(["verify", *paths, *(["--json", str(report)] if json_report else [])])
+        text = sys.stdout.text
+        # The descriptor now points at os.devnull, so a write no longer fails.
+        assert os.write(write_end, b"later") == 5
+    finally:
+        os.close(write_end)
+    monkeypatch.undo()
+    assert rc == 2
+    assert text.startswith("== fano (") and "\n== " not in text  # one file's report
+    assert capsys.readouterr().err.splitlines() == [
+        "stdout: BrokenPipeError: [Errno 32] Broken pipe"
+    ]
+    if json_report:
+        # Every file is still verified, and the report is written in full.
+        assert len(verified) == len(paths)
+        assert report.read_bytes() == normal
+    else:
+        assert len(verified) == 1
+
+
+def test_verify_into_a_closed_pipe_exits_two_without_a_traceback(catalog_dir, tmp_path, capsys):
+    paths = [str(p) for p in sorted(catalog_dir.glob("*.json"))]
+    normal = verify_json(paths, tmp_path / "normal.json")
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(mc.__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidcc", "verify", *paths,
+             "--json", str(tmp_path / "closed.json")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    # No "Exception ignored" line: the flush at exit goes to os.devnull.
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["stdout: BrokenPipeError: [Errno 32] Broken pipe"]
+    assert (tmp_path / "closed.json").read_bytes() == normal
 
 
 def unnamed_fano_with_a_non_utf8_file_name(tmp_path: Path) -> Path:
@@ -657,11 +785,20 @@ def test_inspect_cc_sizes(tmp_path, capsys):
 def test_inspect_dual_of_u42_round_trips(tmp_path, capsys):
     m = mc.uniform(4, 2)
     src = tmp_path / "u4_2.json"
-    cli.write_matroid(m, src)
+    src.write_text(cli._dump(cli.matroid_doc(m)), encoding="utf-8")
     out = tmp_path / "dual.json"
     assert cli.main(["inspect", str(src), "--dual", "--out", str(out)]) == 0
     capsys.readouterr()
     assert cli.parse_matroid(out) == m  # self-dual
+
+
+def test_inspect_minor_skips_empty_chunks_and_prints_without_out(tmp_path, capsys):
+    path = write(tmp_path, "fano.json", FANO_DOC)
+    assert cli.main(["inspect", path, "--minor", "del=7;;con=1;"]) == 0
+    f7 = mc.named("fano")
+    spec = mc.MinorSpec(f7.ground.subset(["7"]), f7.ground.subset(["1"]))
+    want = cli.matroid_doc(mc.minor(f7, spec), name="fano_minor")
+    assert capsys.readouterr().out == cli._dump(want)
 
 
 def test_inspect_cocircuits_of_k4(tmp_path, capsys):

@@ -36,8 +36,11 @@ def test_uniform_counts():
 
 
 def test_uniform_is_uniform():
+    # Every (k+1)-subset is a circuit and nothing else is; none when k = n.
     for n, k in [(4, 2), (6, 3), (5, 1), (7, 7)]:
-        assert mc.uniform(n, k).is_uniform(n, k)
+        m = mc.uniform(n, k)
+        assert m.size == n and len(m.circuits) == comb(n, k + 1)
+        assert set(m.circuits.sizes) <= {k + 1}
 
 
 def test_uniform_invalid_parameters():
@@ -237,7 +240,7 @@ K4_EDGES = (
 
 def test_from_graph_triangle():
     spec = GraphSpec(3, ((0, 1, "a"), (1, 2, "b"), (0, 2, "c")))
-    assert mc.from_graph(spec).is_uniform(3, 2)
+    assert mc.from_graph(spec).circuits.masks == mc.uniform(3, 2).circuits.masks
 
 
 def test_from_graph_k4_circuits():
@@ -403,3 +406,39 @@ def test_lcg_stream_is_stable():
     # Frozen output of the documented generator; a change here means the
     # seeded catalogs are no longer reproducible.
     assert first == [908834774, 1093944153, 1392341196]
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: MatrixOverGF(2, -1, ()), mc.InvalidParameter,
+         "row count must be non-negative"),
+        (lambda: MatrixOverGF(3, 1, ((1,), (3,))), mc.InvalidParameter,
+         "entries must be reduced mod p"),
+        (lambda: MatrixOverGF.from_rows(2, [[0, 1], [1]]), mc.InvalidParameter,
+         "ragged rows in matrix"),
+        (lambda: GraphSpec(-1, ()), mc.InvalidParameter,
+         "vertex count must be non-negative"),
+        (lambda: mc.from_matrix(MatrixOverGF(2, 1, ())), mc.InvalidParameter,
+         "matrix has no columns"),
+        (lambda: mc.from_matrix(MatrixOverGF(2, 1, ((1,),) * 21)), mc.CapExceeded,
+         "circuit enumeration needs at most 20 columns, got 21"),
+        (lambda: mc.from_graph(GraphSpec(2, tuple((0, 1, f"e{i}") for i in range(21)))),
+         mc.CapExceeded, "cycle enumeration needs at most 20 edges, got 21"),
+        (lambda: mc.from_matrix(MatrixOverGF(2, 1, ((1,), (1,))), labels=["a"]),
+         mc.InvalidParameter, "label count does not match the column count"),
+        (lambda: mc.from_graph(GraphSpec(3, ())), mc.InvalidParameter,
+         "graph has no edges"),
+    ],
+    ids=["negative-rows", "unreduced-entry", "ragged-rows", "negative-vertices",
+         "no-columns", "21-columns", "21-edges", "label-count", "no-edges"],
+)
+def test_constructors_refuse_bad_input_with_their_message(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

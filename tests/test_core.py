@@ -72,6 +72,52 @@ def test_elemset_ground_mismatch_raises():
         a | b
 
 
+OTHER = GroundSet(["x", "y", "z"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: core.dependency_table(2, [0b100]), "mask 0x4 has bits outside 2 elements"),
+        (lambda: mc.from_circuits(["a", "b", "c"], [["a", "z"]]), "unknown element label 'z'"),
+        (lambda: core.ElemSet(ground(3), 0b1000), "subset mask has bits outside its ground set"),
+        (lambda: core.ElemSet(ground(3), -1), "subset mask has bits outside its ground set"),
+        (lambda: mc.CircuitFamily(ground(3), [0b1000]),
+         "subset mask has bits outside its ground set"),
+        (lambda: mc.CircuitFamily(ground(3), [OTHER.full()]),
+         "circuit over a different ground set"),
+        (lambda: mc.validate_circuit_axioms([0b1]), "ground set required for a raw circuit list"),
+        (lambda: Matroid(ground(3), mc.CircuitFamily(OTHER, [])),
+         "circuit family belongs to a different ground set"),
+        (lambda: mc.uniform(3, 2).rank(OTHER.full()), "subset belongs to a different ground set"),
+    ],
+    ids=["table-mask", "unknown-label", "elemset-mask", "elemset-negative", "family-mask",
+         "family-ground", "raw-list-ground", "matroid-family-ground", "foreign-subset"],
+)
+def test_core_refuses_bad_input_with_its_message(call, message):
+    with pytest.raises(mc.InvalidParameter) as exc:
+        call()
+    assert type(exc.value) is mc.InvalidParameter and str(exc.value) == message
+
+
+def test_value_types_hash_compare_and_print():
+    g = ground(3)
+    a, b = g.subset(["1"]), g.subset(["1", "2"])
+    assert a < b and not b < a and not a < a
+    assert hash(a) == hash(ground(3).subset(["1"])) and hash(g) == hash(ground(3))
+    assert repr(g) == "GroundSet(['1', '2', '3'])"
+    m = mc.uniform(3, 2)
+    assert hash(m) == hash(mc.uniform(3, 2)) and hash(m.circuits) == hash(m.circuits)
+    assert repr(m.circuits) == "CircuitFamily(1 circuits)"
+    assert repr(m) == "Matroid('u3_2' |E|=3 rank=2 circuits=1)"
+    assert "1" not in m.circuits  # neither an element set nor a mask
+    report = mc.AxiomReport(True)
+    assert report == mc.AxiomReport(True) and hash(report) == hash(mc.AxiomReport(True))
+    assert report != "circuit axioms hold"
+    assert repr(report) == "AxiomReport(ok=True, axiom=None, witnesses=(), element=None)"
+    assert repr(MinorSpec(a, g.subset(["2"]))) == "MinorSpec(del={1}, con={2})"
+
+
 # ---------------------------------------------------------------------------
 # Axiom validation
 # ---------------------------------------------------------------------------
@@ -608,6 +654,17 @@ def test_fundamental_circuit_preconditions():
         u42.fundamental_circuit(g.subset(["1", "2"]), "2")  # already inside
 
 
+def test_fundamental_circuit_of_a_broken_family_is_not_unique():
+    # {1,2} and {1,3} break C3, and both lie in {2,3} + 1.
+    g = ground(3)
+    broken = Matroid(g, [0b011, 0b101], validate=False)
+    with pytest.raises(mc.TheoremViolation) as exc:
+        broken.fundamental_circuit(g.subset(["2", "3"]), "1")
+    assert str(exc.value) == (
+        "fundamental circuit not unique (2 candidates); circuit axioms are broken"
+    )
+
+
 def test_is_simple():
     assert mc.uniform(4, 2).is_simple()
     assert mc.named("fano").is_simple()
@@ -621,22 +678,18 @@ def test_is_simple():
 def test_restriction_uniform_cases():
     u53 = mc.uniform(5, 3)
     g = u53.ground
-    assert u53.restrict(g.subset(["1", "2", "3"])).is_uniform(3, 3)
-    assert u53.restrict(g.subset(["1", "2", "3", "4"])).is_uniform(4, 3)
+    free = mc.delete(u53, g.subset(["1", "2", "3"]).complement())
+    assert (free.size, free.circuits.masks) == (3, mc.uniform(3, 3).circuits.masks)
+    u43 = mc.delete(u53, g.subset(["1", "2", "3", "4"]).complement())
+    assert (u43.size, u43.circuits.masks) == (4, mc.uniform(4, 3).circuits.masks)
 
 
 def test_restriction_of_fano_to_a_line():
     f7 = mc.named("fano")
     g = f7.ground
     line = sorted(oracles.fano_line_label_sets()[0], key=g.index)
-    assert f7.restrict(g.subset(line)).is_uniform(3, 2)
-
-
-def test_is_uniform_checks():
-    assert mc.uniform(6, 3).is_uniform(6, 3)
-    assert mc.uniform(3, 3).is_uniform(3, 3)
-    assert not mc.named("fano").is_uniform(7, 3)
-    assert not mc.uniform(6, 3).is_uniform(6, 2)
+    restricted = mc.delete(f7, g.subset(line).complement())
+    assert (restricted.size, restricted.circuits.masks) == (3, mc.uniform(3, 2).circuits.masks)
 
 
 def test_matroids_are_value_equal():

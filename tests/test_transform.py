@@ -89,7 +89,7 @@ def test_basis_complementation(name):
 
 def test_delete_uniform():
     u42 = mc.uniform(4, 2)
-    assert delete(u42, u42.ground.subset(["4"])).is_uniform(3, 2)
+    assert delete(u42, u42.ground.subset(["4"])).circuits.masks == mc.uniform(3, 2).circuits.masks
     assert delete(u42, u42.ground.empty()) is u42
 
 
@@ -107,7 +107,7 @@ def test_delete_fano_point():
 
 def test_contract_uniform():
     u42 = mc.uniform(4, 2)
-    assert contract(u42, u42.ground.subset(["4"])).is_uniform(3, 1)
+    assert contract(u42, u42.ground.subset(["4"])).circuits.masks == mc.uniform(3, 1).circuits.masks
     assert contract(u42, u42.ground.empty()) is u42
 
 
@@ -162,7 +162,7 @@ def test_minor_overlap_rejected():
 def test_minor_uniform_arithmetic():
     u63 = mc.uniform(6, 3)
     spec = MinorSpec(u63.ground.subset(["6"]), u63.ground.subset(["5"]))
-    assert minor(u63, spec).is_uniform(4, 2)
+    assert minor(u63, spec).circuits.masks == mc.uniform(4, 2).circuits.masks
 
 
 def delete_then_contract(m: mc.Matroid, spec: MinorSpec) -> mc.Matroid:
@@ -245,3 +245,40 @@ def test_no_circuit_meets_a_cocircuit_in_one_element(name):
     for c in m.circuits:
         for d in cocircuits(m):
             assert len(c & d) != 1
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+U42 = mc.uniform(4, 2)
+OTHER = mc.GroundSet(["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MinorSpec(U42.ground.empty(), OTHER.empty()),
+         "delete and contract sets over different grounds"),
+        (lambda: delete(U42, OTHER.subset(["a"])), "removed set over a different ground set"),
+        (lambda: contract(U42, OTHER.subset(["a"])), "removed set over a different ground set"),
+        (lambda: minor(U42, MinorSpec.empty(OTHER)), "minor spec over a different ground set"),
+    ],
+    ids=["spec", "delete", "contract", "minor"],
+)
+def test_transforms_refuse_sets_over_another_ground(call, message):
+    with pytest.raises(mc.InvalidParameter) as exc:
+        call()
+    assert type(exc.value) is mc.InvalidParameter and str(exc.value) == message
+
+
+def test_dual_of_a_broken_family_fails_its_rank_check():
+    # {1,2} and {1,3} break C3: the greedy rank of the table is 1, and
+    # that of its dual table 1 as well, not 3 - 1.
+    g = mc.GroundSet(["1", "2", "3"])
+    broken = mc.Matroid(g, [0b011, 0b101], validate=False)
+    with pytest.raises(mc.TheoremViolation) as exc:
+        dual(broken)
+    assert str(exc.value) == (
+        "dual rank differs from |E| - rank; cocircuit enumeration is buggy"
+    )
