@@ -58,7 +58,6 @@ def statements(path: Path) -> list[tuple[Key, range]]:
                 getattr(node, field) for field in ("body", "orelse", "finalbody")
                 if getattr(node, field, None)
             ] + [h.body for h in getattr(node, "handlers", ())]
-            inner += [case.body for case in getattr(node, "cases", ())]
             start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
             end = min(b[0].lineno for b in inner) - 1 if inner else node.end_lineno
             end = max(end, node.lineno)

@@ -361,6 +361,9 @@ def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content,
     "command, doc, code, error, message",
     [
         (["verify"], [FANO_DOC], 2, "ParseError", "top level must be an object"),
+        (["verify"], {"name": "fano"}, 2, "ParseError", "missing field 'format'"),
+        (["verify"], {**U32_DOC, "ground": [1, 2, 3]}, 2,
+         "ParseError", "ground must be a list of strings without lone surrogates"),
         (["verify"], {**FANO_DOC, "rows": [row[:6] for row in FANO_DOC["rows"]]}, 2,
          "ParseError", "each row must list one entry per label"),
         (["verify"], {**U32_DOC, "circuits": [["a", "b", "z"]]}, 2,
@@ -374,8 +377,8 @@ def test_verify_rejects_unreadable_json_with_one_line(tmp_path, capsys, content,
         (["inspect", "--oxley", "circuit=1,2,3,4"], FANO_DOC, 2,
          "ParseError", "--oxley needs circuit=... and cocircuit=..."),
     ],
-    ids=["top-level-list", "short-row", "unknown-label", "21-columns", "minor-no-equals",
-         "minor-unknown-key", "oxley-one-key"],
+    ids=["top-level-list", "no-format", "int-labels", "short-row", "unknown-label",
+         "21-columns", "minor-no-equals", "minor-unknown-key", "oxley-one-key"],
 )
 def test_input_checks_exit_with_their_code_and_one_line(
     tmp_path, capsys, command, doc, code, error, message
